@@ -2,23 +2,17 @@
 // the message shapes the measurement pipeline handles millions of times.
 //
 // Every benchmark reports an `allocs/op` counter (counting operator new
-// hook, bench_alloc.hpp). BM_DecodeViewNxdomainWithProof is the zero-copy
-// path and must stay at 0 allocs/op in steady state — the allocation gate in
-// tests/test_wire_view.cpp and CI pins that.
+// hook, bench_alloc.hpp).
 #define ZH_BENCH_COUNT_ALLOCS
 #include "bench_alloc.hpp"
 
 #include <benchmark/benchmark.h>
 
-#include "dns/arena.hpp"
 #include "dns/message.hpp"
-#include "dns/wire_view.hpp"
 
 namespace {
 
 using zh::dns::Message;
-using zh::dns::MessageView;
-using zh::dns::MonotonicArena;
 using zh::dns::Name;
 using zh::dns::RrType;
 
@@ -109,29 +103,6 @@ void BM_DecodeNxdomainWithProof(benchmark::State& state) {
                           static_cast<std::int64_t>(wire.size()));
 }
 BENCHMARK(BM_DecodeNxdomainWithProof);
-
-void BM_DecodeViewNxdomainWithProof(benchmark::State& state) {
-  // Zero-copy path: parse in place over the buffer, arena reset per query.
-  // Steady state (after the first iteration's slab) this is 0 allocs/op.
-  const auto wire = nxdomain_response_with_nsec3().to_wire();
-  MonotonicArena arena;
-  {
-    // Warm the arena outside the timed/counted region, as a scanning loop
-    // is warm after its first response.
-    const auto parsed = MessageView::parse(
-        std::span<const std::uint8_t>(wire.data(), wire.size()), arena);
-    benchmark::DoNotOptimize(parsed.view.has_value());
-  }
-  AllocScope allocs(state);
-  for (auto _ : state) {
-    arena.reset();
-    benchmark::DoNotOptimize(MessageView::parse(
-        std::span<const std::uint8_t>(wire.data(), wire.size()), arena));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(wire.size()));
-}
-BENCHMARK(BM_DecodeViewNxdomainWithProof);
 
 void BM_RoundTripQuery(benchmark::State& state) {
   const Message query = Message::make_query(

@@ -27,10 +27,9 @@
 //
 // Each cell also reports allocs/query (counting operator-new hook,
 // bench_alloc.hpp): heap allocations during the measured scan divided by
-// wire queries issued. The arena/view/slot-reuse work (ISSUE 10) drives the
-// *per-exchange* layers to zero steady-state allocations; the whole-stack
-// number reported here includes the resolver/server machinery above them,
-// so it is small and flat, not literally zero.
+// wire queries issued. The count covers the whole stack, most of it the
+// resolver/server machinery behind each exchange, so it is flat across
+// windows rather than zero.
 #define ZH_BENCH_COUNT_ALLOCS
 #include "bench_alloc.hpp"
 

@@ -5,16 +5,12 @@
 
 #include "crypto/cost_meter.hpp"
 
-namespace zh::crypto::detail {
+namespace zh::crypto {
 namespace {
 
 inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
   return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
          (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
-
-inline std::uint64_t load_be64(const std::uint8_t* p) noexcept {
-  return (std::uint64_t{load_be32(p)} << 32) | load_be32(p + 4);
 }
 
 constexpr std::uint32_t kK256[64] = {
@@ -30,50 +26,16 @@ constexpr std::uint32_t kK256[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-constexpr std::uint64_t kK512[80] = {
-    0x428a2f98d728ae22ULL, 0x7137449123ef65cdULL, 0xb5c0fbcfec4d3b2fULL,
-    0xe9b5dba58189dbbcULL, 0x3956c25bf348b538ULL, 0x59f111f1b605d019ULL,
-    0x923f82a4af194f9bULL, 0xab1c5ed5da6d8118ULL, 0xd807aa98a3030242ULL,
-    0x12835b0145706fbeULL, 0x243185be4ee4b28cULL, 0x550c7dc3d5ffb4e2ULL,
-    0x72be5d74f27b896fULL, 0x80deb1fe3b1696b1ULL, 0x9bdc06a725c71235ULL,
-    0xc19bf174cf692694ULL, 0xe49b69c19ef14ad2ULL, 0xefbe4786384f25e3ULL,
-    0x0fc19dc68b8cd5b5ULL, 0x240ca1cc77ac9c65ULL, 0x2de92c6f592b0275ULL,
-    0x4a7484aa6ea6e483ULL, 0x5cb0a9dcbd41fbd4ULL, 0x76f988da831153b5ULL,
-    0x983e5152ee66dfabULL, 0xa831c66d2db43210ULL, 0xb00327c898fb213fULL,
-    0xbf597fc7beef0ee4ULL, 0xc6e00bf33da88fc2ULL, 0xd5a79147930aa725ULL,
-    0x06ca6351e003826fULL, 0x142929670a0e6e70ULL, 0x27b70a8546d22ffcULL,
-    0x2e1b21385c26c926ULL, 0x4d2c6dfc5ac42aedULL, 0x53380d139d95b3dfULL,
-    0x650a73548baf63deULL, 0x766a0abb3c77b2a8ULL, 0x81c2c92e47edaee6ULL,
-    0x92722c851482353bULL, 0xa2bfe8a14cf10364ULL, 0xa81a664bbc423001ULL,
-    0xc24b8b70d0f89791ULL, 0xc76c51a30654be30ULL, 0xd192e819d6ef5218ULL,
-    0xd69906245565a910ULL, 0xf40e35855771202aULL, 0x106aa07032bbd1b8ULL,
-    0x19a4c116b8d2d0c8ULL, 0x1e376c085141ab53ULL, 0x2748774cdf8eeb99ULL,
-    0x34b0bcb5e19b48a8ULL, 0x391c0cb3c5c95a63ULL, 0x4ed8aa4ae3418acbULL,
-    0x5b9cca4f7763e373ULL, 0x682e6ff3d6b2b8a3ULL, 0x748f82ee5defb2fcULL,
-    0x78a5636f43172f60ULL, 0x84c87814a1f0ab72ULL, 0x8cc702081a6439ecULL,
-    0x90befffa23631e28ULL, 0xa4506cebde82bde9ULL, 0xbef9a3f7b2c67915ULL,
-    0xc67178f2e372532bULL, 0xca273eceea26619cULL, 0xd186b8c721c0c207ULL,
-    0xeada7dd6cde0eb1eULL, 0xf57d4f7fee6ed178ULL, 0x06f067aa72176fbaULL,
-    0x0a637dc5a2c898a6ULL, 0x113f9804bef90daeULL, 0x1b710b35131c471bULL,
-    0x28db77f523047d84ULL, 0x32caab7b40c72493ULL, 0x3c9ebe0a15c9bebcULL,
-    0x431d67c49c100d4cULL, 0x4cc5d4becb3e42b6ULL, 0x597f299cfc657e2aULL,
-    0x5fcb6fab3ad6faecULL, 0x6c44198c4a475817ULL};
-
 }  // namespace
 
-void Sha256Core::init(bool is224) noexcept {
-  if (is224) {
-    state_ = {0xc1059ed8u, 0x367cd507u, 0x3070dd17u, 0xf70e5939u,
-              0xffc00b31u, 0x68581511u, 0x64f98fa7u, 0xbefa4fa4u};
-  } else {
-    state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-              0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
-  }
+void Sha256::reset() noexcept {
+  state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+            0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
   total_len_ = 0;
   buffer_len_ = 0;
 }
 
-void Sha256Core::compress(const std::uint8_t* block) noexcept {
+void Sha256::compress(const std::uint8_t* block) noexcept {
   CostMeter::add_sha2_blocks(1);
 
   std::uint32_t w[64];
@@ -118,7 +80,7 @@ void Sha256Core::compress(const std::uint8_t* block) noexcept {
   state_[7] += h;
 }
 
-void Sha256Core::update(std::span<const std::uint8_t> data) noexcept {
+void Sha256::update(std::span<const std::uint8_t> data) noexcept {
   total_len_ += data.size();
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
@@ -145,7 +107,7 @@ void Sha256Core::update(std::span<const std::uint8_t> data) noexcept {
   }
 }
 
-void Sha256Core::finalize(std::uint8_t* out, std::size_t out_len) noexcept {
+Sha256::Digest Sha256::finalize() noexcept {
   const std::uint64_t bit_len = total_len_ * 8;
 
   std::uint8_t pad[kBlockSize + 8] = {};
@@ -159,124 +121,14 @@ void Sha256Core::finalize(std::uint8_t* out, std::size_t out_len) noexcept {
     len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   update(std::span<const std::uint8_t>(len_bytes, 8));
 
-  std::uint8_t full[32];
+  Digest out{};
   for (int i = 0; i < 8; ++i) {
-    full[4 * i + 0] = static_cast<std::uint8_t>(state_[i] >> 24);
-    full[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    full[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    full[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+    out[4 * i + 0] = static_cast<std::uint8_t>(state_[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
-  std::memcpy(out, full, out_len);
+  return out;
 }
 
-void Sha512Core::init(bool is384) noexcept {
-  if (is384) {
-    state_ = {0xcbbb9d5dc1059ed8ULL, 0x629a292a367cd507ULL,
-              0x9159015a3070dd17ULL, 0x152fecd8f70e5939ULL,
-              0x67332667ffc00b31ULL, 0x8eb44a8768581511ULL,
-              0xdb0c2e0d64f98fa7ULL, 0x47b5481dbefa4fa4ULL};
-  } else {
-    state_ = {0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL,
-              0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL,
-              0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
-              0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL};
-  }
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha512Core::compress(const std::uint8_t* block) noexcept {
-  CostMeter::add_sha2_blocks(1);
-
-  std::uint64_t w[80];
-  for (int i = 0; i < 16; ++i) w[i] = load_be64(block + 8 * i);
-  for (int i = 16; i < 80; ++i) {
-    const std::uint64_t s0 = std::rotr(w[i - 15], 1) ^
-                             std::rotr(w[i - 15], 8) ^ (w[i - 15] >> 7);
-    const std::uint64_t s1 =
-        std::rotr(w[i - 2], 19) ^ std::rotr(w[i - 2], 61) ^ (w[i - 2] >> 6);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint64_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 80; ++i) {
-    const std::uint64_t s1 =
-        std::rotr(e, 14) ^ std::rotr(e, 18) ^ std::rotr(e, 41);
-    const std::uint64_t ch = (e & f) ^ (~e & g);
-    const std::uint64_t t1 = h + s1 + ch + kK512[i] + w[i];
-    const std::uint64_t s0 =
-        std::rotr(a, 28) ^ std::rotr(a, 34) ^ std::rotr(a, 39);
-    const std::uint64_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint64_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
-void Sha512Core::update(std::span<const std::uint8_t> data) noexcept {
-  total_len_ += data.size();
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-
-  if (buffer_len_ > 0) {
-    const std::size_t take = std::min(n, kBlockSize - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, p, take);
-    buffer_len_ += take;
-    p += take;
-    n -= take;
-    if (buffer_len_ == kBlockSize) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
-  while (n >= kBlockSize) {
-    compress(p);
-    p += kBlockSize;
-    n -= kBlockSize;
-  }
-  if (n > 0) {
-    std::memcpy(buffer_.data(), p, n);
-    buffer_len_ = n;
-  }
-}
-
-void Sha512Core::finalize(std::uint8_t* out, std::size_t out_len) noexcept {
-  // SHA-512 uses a 128-bit length field; byte inputs here never exceed 2^64.
-  const std::uint64_t bit_len = total_len_ * 8;
-
-  std::uint8_t pad[kBlockSize + 16] = {};
-  pad[0] = 0x80;
-  // Pad so that (total so far + pad_len) % 128 == 112.
-  const std::size_t pad_len =
-      1 + ((kBlockSize + 112 - 1 - (total_len_ % kBlockSize)) % kBlockSize);
-  update(std::span<const std::uint8_t>(pad, pad_len));
-  std::uint8_t len_bytes[16] = {};
-  for (int i = 0; i < 8; ++i)
-    len_bytes[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(std::span<const std::uint8_t>(len_bytes, 16));
-
-  std::uint8_t full[64];
-  for (int i = 0; i < 8; ++i)
-    for (int j = 0; j < 8; ++j)
-      full[8 * i + j] = static_cast<std::uint8_t>(state_[i] >> (56 - 8 * j));
-  std::memcpy(out, full, out_len);
-}
-
-}  // namespace zh::crypto::detail
+}  // namespace zh::crypto

@@ -1,7 +1,8 @@
-// SHA-2 family (FIPS 180-4): SHA-224, SHA-256, SHA-384, SHA-512.
+// SHA-256 (FIPS 180-4), implemented in-tree.
 //
-// SHA-256 backs the simulated DNSSEC signing algorithm and DS digests
-// (digest type 2); SHA-384 backs DS digest type 4. Implemented from scratch.
+// SHA-256 backs the simulated DNSSEC signing algorithm (HMAC-SHA-256) and
+// every DS digest that is not SHA-1: dns::make_ds hashes all other digest
+// types with it.
 #pragma once
 
 #include <array>
@@ -12,68 +13,27 @@
 
 namespace zh::crypto {
 
-namespace detail {
-
-/// 32-bit-word SHA-2 core (SHA-224 / SHA-256).
-class Sha256Core {
- public:
-  static constexpr std::size_t kBlockSize = 64;
-
-  void init(bool is224) noexcept;
-  void update(std::span<const std::uint8_t> data) noexcept;
-  /// Writes the first `out_len` digest bytes into `out`.
-  void finalize(std::uint8_t* out, std::size_t out_len) noexcept;
-
- private:
-  void compress(const std::uint8_t* block) noexcept;
-
-  std::array<std::uint32_t, 8> state_{};
-  std::array<std::uint8_t, kBlockSize> buffer_{};
-  std::uint64_t total_len_ = 0;
-  std::size_t buffer_len_ = 0;
-};
-
-/// 64-bit-word SHA-2 core (SHA-384 / SHA-512).
-class Sha512Core {
- public:
-  static constexpr std::size_t kBlockSize = 128;
-
-  void init(bool is384) noexcept;
-  void update(std::span<const std::uint8_t> data) noexcept;
-  void finalize(std::uint8_t* out, std::size_t out_len) noexcept;
-
- private:
-  void compress(const std::uint8_t* block) noexcept;
-
-  std::array<std::uint64_t, 8> state_{};
-  std::array<std::uint8_t, kBlockSize> buffer_{};
-  std::uint64_t total_len_ = 0;
-  std::size_t buffer_len_ = 0;
-};
-
-}  // namespace detail
-
-/// Incremental SHA-256.
+/// Incremental SHA-256 hasher.
+///
+/// Usage: construct, call update() any number of times, then finalize()
+/// exactly once. Reuse after finalize() requires reset().
 class Sha256 {
  public:
   static constexpr std::size_t kDigestSize = 32;
   static constexpr std::size_t kBlockSize = 64;
   using Digest = std::array<std::uint8_t, kDigestSize>;
 
-  Sha256() noexcept { core_.init(/*is224=*/false); }
-  void reset() noexcept { core_.init(false); }
-  void update(std::span<const std::uint8_t> data) noexcept {
-    core_.update(data);
-  }
+  Sha256() noexcept { reset(); }
+
+  void reset() noexcept;
+  void update(std::span<const std::uint8_t> data) noexcept;
   void update(std::string_view data) noexcept {
     update(std::span<const std::uint8_t>(
         reinterpret_cast<const std::uint8_t*>(data.data()), data.size()));
   }
-  Digest finalize() noexcept {
-    Digest out;
-    core_.finalize(out.data(), out.size());
-    return out;
-  }
+  /// Completes the hash. The object must be reset() before reuse.
+  Digest finalize() noexcept;
+
   static Digest hash(std::span<const std::uint8_t> data) noexcept {
     Sha256 h;
     h.update(data);
@@ -86,88 +46,12 @@ class Sha256 {
   }
 
  private:
-  detail::Sha256Core core_;
-};
+  void compress(const std::uint8_t* block) noexcept;
 
-/// Incremental SHA-224.
-class Sha224 {
- public:
-  static constexpr std::size_t kDigestSize = 28;
-  static constexpr std::size_t kBlockSize = 64;
-  using Digest = std::array<std::uint8_t, kDigestSize>;
-
-  Sha224() noexcept { core_.init(/*is224=*/true); }
-  void reset() noexcept { core_.init(true); }
-  void update(std::span<const std::uint8_t> data) noexcept {
-    core_.update(data);
-  }
-  Digest finalize() noexcept {
-    Digest out;
-    core_.finalize(out.data(), out.size());
-    return out;
-  }
-  static Digest hash(std::span<const std::uint8_t> data) noexcept {
-    Sha224 h;
-    h.update(data);
-    return h.finalize();
-  }
-
- private:
-  detail::Sha256Core core_;
-};
-
-/// Incremental SHA-512.
-class Sha512 {
- public:
-  static constexpr std::size_t kDigestSize = 64;
-  static constexpr std::size_t kBlockSize = 128;
-  using Digest = std::array<std::uint8_t, kDigestSize>;
-
-  Sha512() noexcept { core_.init(/*is384=*/false); }
-  void reset() noexcept { core_.init(false); }
-  void update(std::span<const std::uint8_t> data) noexcept {
-    core_.update(data);
-  }
-  Digest finalize() noexcept {
-    Digest out;
-    core_.finalize(out.data(), out.size());
-    return out;
-  }
-  static Digest hash(std::span<const std::uint8_t> data) noexcept {
-    Sha512 h;
-    h.update(data);
-    return h.finalize();
-  }
-
- private:
-  detail::Sha512Core core_;
-};
-
-/// Incremental SHA-384.
-class Sha384 {
- public:
-  static constexpr std::size_t kDigestSize = 48;
-  static constexpr std::size_t kBlockSize = 128;
-  using Digest = std::array<std::uint8_t, kDigestSize>;
-
-  Sha384() noexcept { core_.init(/*is384=*/true); }
-  void reset() noexcept { core_.init(true); }
-  void update(std::span<const std::uint8_t> data) noexcept {
-    core_.update(data);
-  }
-  Digest finalize() noexcept {
-    Digest out;
-    core_.finalize(out.data(), out.size());
-    return out;
-  }
-  static Digest hash(std::span<const std::uint8_t> data) noexcept {
-    Sha384 h;
-    h.update(data);
-    return h.finalize();
-  }
-
- private:
-  detail::Sha512Core core_;
+  std::array<std::uint32_t, 8> state_{};
+  std::array<std::uint8_t, kBlockSize> buffer_{};
+  std::uint64_t total_len_ = 0;
+  std::size_t buffer_len_ = 0;
 };
 
 }  // namespace zh::crypto

@@ -296,7 +296,7 @@ void Frontend::on_connection(int fd, std::uint32_t events) {
       conn.in.insert(conn.in.end(), buffer, buffer + n);
     }
     parse_frames(conn);
-    if (conn.fd < 0) {  // parse_frames closed it (malformed frame)
+    if (conn.fd < 0) {  // parse_frames stopped serving it
       connections_.erase(fd);
       return;
     }
@@ -313,10 +313,7 @@ void Frontend::parse_frames(Connection& conn) {
       // A zero-length frame cannot hold a DNS header: the stream is not
       // speaking RFC 1035 §4.2.2 — drop the connection.
       count(&FrontendCounters::malformed, "net.malformed");
-      loop_->remove(conn.fd);
-      ::close(conn.fd);
-      pending_ -= conn.queued_responses;
-      conn.fd = -1;
+      stop_serving(conn);
       return;
     }
     if (conn.in.size() - offset - 2 < length) break;  // partial frame
@@ -327,6 +324,7 @@ void Frontend::parse_frames(Connection& conn) {
     if (!served) continue;  // malformed frames keep the stream: framing held
     count(&FrontendCounters::responses, "net.responses");
     enqueue_tcp(conn, served->response.to_wire());
+    if (conn.fd < 0) return;  // the peer is gone; the frames behind are moot
   }
   conn.in.erase(conn.in.begin(),
                 conn.in.begin() + static_cast<std::ptrdiff_t>(offset));
@@ -340,13 +338,15 @@ void Frontend::enqueue_tcp(Connection& conn,
   conn.out.insert(conn.out.end(), wire.begin(), wire.end());
   ++conn.queued_responses;
   ++pending_;
-  flush_tcp(conn);
+  if (!flush_tcp(conn)) stop_serving(conn);  // e.g. the peer reset (EPIPE)
 }
 
 bool Frontend::flush_tcp(Connection& conn) {
   while (conn.out_offset < conn.out.size()) {
-    const ssize_t n = ::write(conn.fd, conn.out.data() + conn.out_offset,
-                              conn.out.size() - conn.out_offset);
+    // MSG_NOSIGNAL: a peer that reset the stream must fail this call with
+    // EPIPE, not raise SIGPIPE and kill the server.
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_offset,
+                             conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!conn.want_write) {
@@ -370,6 +370,13 @@ bool Frontend::flush_tcp(Connection& conn) {
     loop_->modify(conn.fd, EPOLLIN);
   }
   return true;
+}
+
+void Frontend::stop_serving(Connection& conn) {
+  loop_->remove(conn.fd);
+  ::close(conn.fd);
+  pending_ -= conn.queued_responses;
+  conn.fd = -1;
 }
 
 void Frontend::close_connection(int fd, bool reaped) {

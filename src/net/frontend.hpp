@@ -148,6 +148,9 @@ class Frontend {
                                               dns::Message response);
   void enqueue_tcp(Connection& conn, const std::vector<std::uint8_t>& wire);
   bool flush_tcp(Connection& conn);
+  /// Closes the socket mid-parse and marks `conn` dead (fd -1); the caller
+  /// erases it once parse_frames returns.
+  void stop_serving(Connection& conn);
   void close_connection(int fd, bool reaped);
   void schedule_reap();
   void maybe_finish_drain();

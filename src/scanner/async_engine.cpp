@@ -9,7 +9,6 @@ void QueryTask::begin(const FlowQuery& query, simtime::Duration now,
   logical_attempts_ = 0;
   logical_start_ = now;
   wire_ready_ = false;
-  arena_.reset();
   begin_exchange(next_id);
   state_ = State::kSend;
 }
@@ -53,7 +52,7 @@ QueryTask::Step QueryTask::drive(simnet::Network& network,
                                  const simnet::IpAddress& source,
                                  const simnet::IpAddress& destination,
                                  const simtime::RetryPolicy& retry,
-                                 std::uint64_t token, std::uint16_t& next_id,
+                                 std::uint16_t& next_id,
                                  std::uint64_t& queries,
                                  simtime::Duration now) {
   for (;;) {
@@ -62,13 +61,14 @@ QueryTask::Step QueryTask::drive(simnet::Network& network,
         ++exchange_attempts_;
         // A retry is a retransmission — count it, as simnet::exchange does.
         if (attempt_ > 0) network.tracer().count("client.retransmit");
-        network.send_async(source, destination, wire_, token);
-        simnet::CompletionEvent event = network.pop_completion();
-        if (!event.response) {
+        response_ = network.send(source, destination, wire_);
+        // The delivery ran synchronously on this task's timeline; the clock
+        // now reads the instant it finished.
+        const simtime::Duration completed_at = network.clock().now();
+        if (!response_) {
           if (!network.is_attached(destination)) {
             // Unreachable: retransmitting cannot help; the exchange settles
             // on the spot with one attempt spent and no timeout accounted.
-            response_.reset();
             if (settle(retry, next_id, queries, /*timed_out=*/false, now))
               continue;
             return Step{false, now};
@@ -81,14 +81,12 @@ QueryTask::Step QueryTask::drive(simnet::Network& network,
           // the blocking exchange starts its wait from that advanced clock.
           // For a plain network loss completed_at == the send instant.
           state_ = State::kRetryBackoff;
-          return Step{true,
-                      event.completed_at + retry.attempt_timeout(attempt_)};
+          return Step{true, completed_at + retry.attempt_timeout(attempt_)};
         }
         // Delivered: the network already ran the exchange on this task's
         // timeline; park until the response's arrival instant.
-        response_ = std::move(event.response);
         state_ = State::kAwaitResponse;
-        return Step{true, event.completed_at};
+        return Step{true, completed_at};
       }
       case State::kAwaitResponse: {
         if (response_->header.tc && retry.tcp_on_truncation) {

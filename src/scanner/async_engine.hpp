@@ -38,7 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "dns/arena.hpp"
 #include "scanner/scan_flow.hpp"
 #include "simnet/network.hpp"
 #include "simtime/simtime.hpp"
@@ -105,20 +104,14 @@ class QueryTask {
   /// advances by every wire attempt, matching the blocking counters.
   Step drive(simnet::Network& network, const simnet::IpAddress& source,
              const simnet::IpAddress& destination,
-             const simtime::RetryPolicy& retry, std::uint64_t token,
-             std::uint16_t& next_id, std::uint64_t& queries,
-             simtime::Duration now);
+             const simtime::RetryPolicy& retry, std::uint16_t& next_id,
+             std::uint64_t& queries, simtime::Duration now);
 
   State state() const noexcept { return state_; }
   FlowOutcome take_outcome() {
     state_ = State::kIdle;
     return std::move(outcome_);
   }
-
-  /// Per-query scratch for zero-copy parsing (dns::MessageView) on
-  /// wire-bytes transports; reset at every begin(). Steady state it holds
-  /// one slab, so the reset is a cursor rewind — no heap traffic.
-  dns::MonotonicArena& arena() noexcept { return arena_; }
 
  private:
   void begin_exchange(std::uint16_t& next_id);
@@ -131,7 +124,6 @@ class QueryTask {
   FlowQuery query_;
   dns::Message wire_;  // current round's message (TCP fallback resends it)
   bool wire_ready_ = false;  // wire_ matches query_; re-asks rewrite the id
-  dns::MonotonicArena arena_;
   unsigned round_ = 0;
   unsigned attempt_ = 0;
   unsigned exchange_attempts_ = 0;
@@ -219,12 +211,11 @@ class AsyncEngine {
 
   void admit(const MakeItem& make, simtime::Duration at) {
     Item item = make(next_position_);
-    // Reuse a settled task's slot (and its Task allocation, query-message
-    // buffers and arena slab) when one is free: the task table stays
-    // O(window), not O(items admitted). Slot reuse cannot reorder anything —
-    // wheel expiries are ordered by (deadline, arm sequence) and the payload
-    // never participates, and a slot is only freed after its last timer
-    // fired.
+    // Reuse a settled task's slot (and its Task allocation and query-message
+    // buffers) when one is free: the task table stays O(window), not
+    // O(items admitted). Slot reuse cannot reorder anything — wheel expiries
+    // are ordered by (deadline, arm sequence) and the payload never
+    // participates, and a slot is only freed after its last timer fired.
     std::size_t slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -296,8 +287,7 @@ class AsyncEngine {
       }
       const QueryTask::Step s =
           task.query.drive(network_, source_, task.destination,
-                           options_.retry, task.slot, next_id_,
-                           task.totals.queries, now);
+                           options_.retry, next_id_, task.totals.queries, now);
       if (s.waiting) {
         wheel_.arm(s.wake_at, task.slot);
         return;

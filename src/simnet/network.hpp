@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -63,20 +62,6 @@ using TamperHook = std::function<bool(dns::Message& response,
 struct FlowState {
   std::uint64_t key = 0;
   std::uint64_t seq = 0;
-};
-
-/// One finished asynchronous delivery (see Network::send_async). The
-/// simulation serves deliveries synchronously, so the event is available
-/// the moment send_async returns; queueing it decouples *issuing* a query
-/// from *consuming* its outcome — the shape an event-driven engine needs.
-struct CompletionEvent {
-  /// Caller-chosen correlation token (the async engine uses its task id).
-  std::uint64_t token = 0;
-  std::optional<dns::Message> response;
-  /// Virtual instant the delivery finished (= the clock after it ran).
-  simtime::Duration completed_at;
-  /// The delivery's virtual-time span (zero for a lost/unreachable send).
-  simtime::Duration elapsed;
 };
 
 /// The network. Single-threaded and deterministic: queries are synchronous
@@ -270,30 +255,6 @@ class Network {
     flow_seq_ = state.seq;
     tracer_.set_flow(state.key);
     if (epoch == QueueEpoch::kNew) end_queue_epoch();
-  }
-
-  /// Issues a UDP query whose outcome is posted to the completion queue
-  /// instead of returned. The delivery itself runs synchronously at the
-  /// current virtual clock (the simulated network is single-threaded);
-  /// what "async" buys is the decoupling: the caller can park the logical
-  /// query, serve other flows, and consume the completion — stamped with
-  /// its virtual finish instant — in whatever order its event loop
-  /// dictates. Truncation semantics match send(); the caller falls back
-  /// to send_tcp() on a TC response exactly as in the blocking path.
-  void send_async(const IpAddress& from, const IpAddress& to,
-                  const dns::Message& query, std::uint64_t token) {
-    auto response = send(from, to, query);
-    completions_.push_back(CompletionEvent{token, std::move(response),
-                                           clock_.now(), last_elapsed_});
-  }
-
-  bool has_completion() const noexcept { return !completions_.empty(); }
-
-  /// Pops the oldest completion event. Precondition: has_completion().
-  CompletionEvent pop_completion() {
-    CompletionEvent event = std::move(completions_.front());
-    completions_.pop_front();
-    return event;
   }
 
   /// Virtual time consumed by the most recent send()/send_tcp() — zero for
@@ -504,8 +465,6 @@ class Network {
   /// queue_counters_ accumulates across epochs.
   std::unordered_map<IpAddress, simtime::ServiceQueue, IpAddressHash> queues_;
   simtime::QueueCounters queue_counters_;
-  /// Outcomes of send_async() deliveries awaiting consumption (FIFO).
-  std::deque<CompletionEvent> completions_;
   /// Adapts the virtual clock to the trace::TimeSource interface, so trace
   /// timestamps are virtual time by construction. Declared after clock_.
   struct ClockTimeSource final : trace::TimeSource {

@@ -4,9 +4,14 @@
 // query order — over UDP, over TCP, and across the UDP→TC→TCP retry. Also
 // covers the event loop itself, overload shedding, idle reaping, and the
 // malformed-input corpus fired at a live socket (ASan/UBSan in CI).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -336,6 +341,51 @@ TEST(Frontend, MalformedCorpusNeverKillsTheServer) {
   EXPECT_EQ(result.message->header.id, 78);
   const FrontendCounters& counters = server.stop();
   EXPECT_GE(counters.malformed, 3u);
+}
+
+TEST(Frontend, PeerClosedMidPipelineNeverKillsTheServer) {
+  // The dispatch closes the client's socket while serving the first of
+  // eight pipelined frames, so the responses behind it go to a peer that
+  // has reset the stream. Those writes must fail with EPIPE rather than
+  // raise SIGPIPE, and the server must stop serving that stream.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  std::atomic<int> victim{fd};
+  std::atomic<bool> closed{false};
+  const Dispatch answer = txt_dispatch(64);
+  ServerHarness server;
+  ASSERT_TRUE(server.start([&](const Message& query) {
+    if (const int doomed = victim.exchange(-1); doomed >= 0) {
+      ::close(doomed);
+      closed = true;
+    }
+    return answer(query);
+  }));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+            0);
+  std::vector<std::uint8_t> burst;
+  for (std::uint16_t id = 0; id < 8; ++id) {
+    const std::vector<std::uint8_t> wire =
+        echo_query(id, "reset.example").to_wire();
+    burst.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
+    burst.push_back(static_cast<std::uint8_t>(wire.size()));
+    burst.insert(burst.end(), wire.begin(), wire.end());
+  }
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  for (int i = 0; i < 500 && !closed; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(closed);
+
+  // The loop has moved past the dead stream; the server still answers.
+  ClientResult result = WireClient("127.0.0.1", server.port())
+                            .query_udp(echo_query(99, "alive.example"));
+  ASSERT_TRUE(result.message);
+  EXPECT_EQ(result.message->header.id, 99);
 }
 
 // --------------------------------------------- byte-identity vs simulation

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dns/message.hpp"
@@ -41,6 +42,35 @@ Message rich_response() {
   return response;
 }
 
+/// NXDOMAIN with an NSEC3 proof: the NSEC3 rdata decode path, in the shape
+/// every negative answer of a scan takes.
+Message nxdomain_with_proof() {
+  Message query = Message::make_query(
+      1, Name::must_parse("probe.nx.example.com"), RrType::kA);
+  Message response = Message::make_response(query);
+  response.header.rcode = Rcode::kNxDomain;
+  response.header.aa = true;
+  response.authorities.push_back(
+      make_soa(Name::must_parse("example.com"), 3600,
+               Name::must_parse("ns1.example.com"), 1));
+  for (int i = 0; i < 3; ++i) {
+    Nsec3Rdata nsec3;
+    nsec3.iterations = 10;
+    nsec3.next_hash.assign(20, static_cast<std::uint8_t>(i * 40 + 7));
+    nsec3.types = TypeBitmap({RrType::kA, RrType::kRrsig});
+    response.authorities.push_back(ResourceRecord::make(
+        Name::must_parse(std::string(32, static_cast<char>('a' + i)) +
+                         ".example.com"),
+        RrType::kNsec3, 3600, nsec3));
+  }
+  return response;
+}
+
+/// The valid messages the prefix and bit-flip sweeps corrupt.
+std::vector<Message> sweep_seeds() {
+  return {rich_response(), nxdomain_with_proof()};
+}
+
 /// Minimal header + question skeleton the crafted-wire tests build on.
 std::vector<std::uint8_t> header(std::uint16_t qdcount, std::uint16_t ancount,
                                  std::uint16_t nscount, std::uint16_t arcount) {
@@ -59,7 +89,7 @@ void push_question_tail(std::vector<std::uint8_t>& wire) {
 TEST(WireHardening, ValidMessagesDecodeOk) {
   for (const Message& msg :
        {Message::make_query(7, Name::must_parse("example.com"), RrType::kA),
-        rich_response()}) {
+        rich_response(), nxdomain_with_proof()}) {
     const auto wire = msg.to_wire();
     const DecodeResult result = Message::decode(as_span(wire));
     ASSERT_TRUE(result.message) << to_string(result.error);
@@ -74,12 +104,14 @@ TEST(WireHardening, ValidMessagesDecodeOk) {
 TEST(WireHardening, EveryStrictPrefixIsRejected) {
   // A strict parse leaves no slack: any prefix of a valid message must fail
   // (usually kTruncated; a prefix can also sever a name or rdata).
-  const auto wire = rich_response().to_wire();
-  for (std::size_t len = 0; len < wire.size(); ++len) {
-    const DecodeResult result =
-        Message::decode(std::span<const std::uint8_t>(wire.data(), len));
-    EXPECT_FALSE(result.message) << "prefix of length " << len << " parsed";
-    EXPECT_NE(result.error, WireErrc::kOk);
+  for (const Message& seed : sweep_seeds()) {
+    const auto wire = seed.to_wire();
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      const DecodeResult result =
+          Message::decode(std::span<const std::uint8_t>(wire.data(), len));
+      EXPECT_FALSE(result.message) << "prefix of length " << len << " parsed";
+      EXPECT_NE(result.error, WireErrc::kOk);
+    }
   }
 }
 
@@ -205,20 +237,45 @@ TEST(WireHardening, MalformedOptOptionsAreBadOpt) {
 }
 
 TEST(WireHardening, SingleBitFlipsNeverCrash) {
-  // Deterministic single-bit corruption over the whole rich response:
-  // every flip must either decode cleanly or fail with a typed error —
-  // under ASan/UBSan this is the memory-safety sweep.
+  // Deterministic single-bit corruption over every sweep seed: every flip
+  // must either decode cleanly or fail with a typed error — under
+  // ASan/UBSan this is the memory-safety sweep.
+  for (const Message& seed : sweep_seeds()) {
+    const auto pristine = seed.to_wire();
+    for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto wire = pristine;
+        wire[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        const DecodeResult result = Message::decode(as_span(wire));
+        if (result.message) {
+          EXPECT_EQ(result.error, WireErrc::kOk);
+        } else {
+          EXPECT_NE(result.error, WireErrc::kOk);
+        }
+      }
+    }
+  }
+}
+
+TEST(WireHardening, WireSizeMatchesEncodedSizeExactly) {
+  // wire_size() shares the compressor's offset map with write(), so it is
+  // exact — the simnet/frontend truncation decision depends on that.
+  for (const Message& msg :
+       {Message::make_query(7, Name::must_parse("example.com"), RrType::kA),
+        Message::make_query(0xbeef, Name::must_parse("www.example.com"),
+                            RrType::kDnskey),
+        rich_response(), nxdomain_with_proof()}) {
+    EXPECT_EQ(msg.wire_size(), msg.to_wire().size());
+  }
+  // And for every bit-flipped message that still decodes (mutated flags,
+  // TTLs, rdata bytes — anything that survives the parser).
   const auto pristine = rich_response().to_wire();
   for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      auto wire = pristine;
-      wire[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      const DecodeResult result = Message::decode(as_span(wire));
-      if (result.message) {
-        EXPECT_EQ(result.error, WireErrc::kOk);
-      } else {
-        EXPECT_NE(result.error, WireErrc::kOk);
-      }
+    auto wire = pristine;
+    wire[byte] ^= 0x01;
+    const DecodeResult result = Message::decode(as_span(wire));
+    if (result.message) {
+      EXPECT_EQ(result.message->wire_size(), result.message->to_wire().size());
     }
   }
 }
