@@ -15,9 +15,8 @@
 //   ZH_TRACE_FORMAT    jsonl | chrome (also --trace-format F; default jsonl)
 //   ZH_PROCS           worker processes (default 1; also --procs N; 0 = all
 //                      hardware threads) — see bench_procs.hpp
-//   ZH_ENGINE          blocking | async scan engine (also --engine E)
-//   ZH_MAX_INFLIGHT    concurrent resolutions per worker when the async
-//                      engine is selected (also --max-inflight N)
+//   ZH_MAX_INFLIGHT    concurrent resolutions per worker in the scan engine
+//                      (also --max-inflight N; default 1024)
 //   ZH_LISTEN          frontend listen address (also --listen A; zh_serve
 //                      and bench_frontend — see src/net/frontend.hpp)
 //   ZH_PORT            frontend UDP+TCP port (also --port N; 0 = ephemeral)
@@ -97,9 +96,8 @@ inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 ///   --jitter MS                 uniform RTT jitter in milliseconds
 ///   --trace FILE                write the merged event trace to FILE
 ///   --trace-format F            jsonl (default) or chrome
-///   --engine E                  blocking (default) or async scan engine —
-///                               campaign outputs are engine-invariant
-///   --max-inflight N            concurrent resolutions per worker (async)
+///   --max-inflight N            concurrent resolutions per worker — campaign
+///                               outputs are window-invariant
 ///   --listen A                  frontend listen address (default 127.0.0.1)
 ///   --port N                    frontend UDP+TCP port (0 = ephemeral)
 ///   --tcp-idle-ms MS            frontend TCP idle-reap timeout
@@ -126,9 +124,8 @@ struct BenchFlags {
   simtime::RetryPolicy retry{};
   double latency_ms = 0.0;
   double jitter_ms = 0.0;
-  /// Scan engine per worker thread; outputs are engine-invariant, so this
-  /// is purely a throughput knob (see scanner/async_engine.hpp).
-  scanner::Engine engine = scanner::Engine::kBlocking;
+  /// Scan-engine window per worker thread; outputs are window-invariant, so
+  /// this is purely a throughput knob (see scanner/async_engine.hpp).
   std::size_t max_inflight = 1024;
   /// Real-socket frontend knobs (zh_serve / bench_frontend; mirror
   /// net::FrontendConfig — see src/net/frontend.hpp).
@@ -211,7 +208,6 @@ struct BenchFlags {
   /// the engine (--trace-format used to).
   void apply(scanner::ParallelOptions& options) const {
     options.jobs = jobs;
-    options.engine = engine;
     options.max_inflight = max_inflight;
     options.loss_probability = loss;
     options.retry = retry;
@@ -224,13 +220,6 @@ struct BenchFlags {
     }
   }
 };
-
-/// "blocking" / "async" → the engine enum; nullopt for anything else.
-inline std::optional<scanner::Engine> parse_engine(const char* name) {
-  if (std::strcmp(name, "blocking") == 0) return scanner::Engine::kBlocking;
-  if (std::strcmp(name, "async") == 0) return scanner::Engine::kAsync;
-  return std::nullopt;
-}
 
 /// "on"/"1" → true, "off"/"0" → false; nullopt for anything else.
 inline std::optional<bool> parse_on_off(const char* value) {
@@ -258,14 +247,6 @@ inline BenchFlags parse_flags(int argc, char** argv) {
               static_cast<std::uint64_t>(flags.retry.timeout.millis()))));
   flags.latency_ms = env_double("ZH_LATENCY_MS", 0.0);
   flags.jitter_ms = env_double("ZH_JITTER_MS", 0.0);
-  if (const char* engine = std::getenv("ZH_ENGINE")) {
-    if (const auto parsed = parse_engine(engine)) {
-      flags.engine = *parsed;
-    } else {
-      std::fprintf(stderr, "# unknown ZH_ENGINE '%s' (blocking|async)\n",
-                   engine);
-    }
-  }
   flags.max_inflight = static_cast<std::size_t>(
       env_u64("ZH_MAX_INFLIGHT", flags.max_inflight));
   if (const char* listen = std::getenv("ZH_LISTEN")) flags.listen = listen;
@@ -323,12 +304,6 @@ inline BenchFlags parse_flags(int argc, char** argv) {
       flags.latency_ms = std::atof(v);
     } else if (const char* v = value_of(i, "--jitter")) {
       flags.jitter_ms = std::atof(v);
-    } else if (const char* v = value_of(i, "--engine")) {
-      if (const auto parsed = parse_engine(v)) {
-        flags.engine = *parsed;
-      } else {
-        std::fprintf(stderr, "# unknown --engine '%s' (blocking|async)\n", v);
-      }
     } else if (const char* v = value_of(i, "--max-inflight")) {
       const long parsed = std::atol(v);
       if (parsed > 0) flags.max_inflight = static_cast<std::size_t>(parsed);
@@ -499,7 +474,7 @@ inline void print_stage_breakdown(const BenchFlags& flags,
 
 /// Prints the RFC 8198/9520 campaign counters. Gated on --aggressive-nsec
 /// so synth-off output stays byte-identical to the goldens; the counters
-/// themselves are jobs/procs/engine-invariant (per-shard metric deltas).
+/// themselves are jobs/procs/window-invariant (per-shard metric deltas).
 inline void print_aggressive_counters(const BenchFlags& flags,
                                       std::uint64_t neg_synth_hits,
                                       std::uint64_t failure_cache_hits) {

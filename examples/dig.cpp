@@ -7,35 +7,24 @@
 //
 // Builds the probe infrastructure plus a small synthetic population, then
 // issues the query through the chosen resolver profile and pretty-prints
-// the response dig-style (flags, EDE, answer/authority sections).
+// the response dig-style (flags, EDE, answer/authority sections). An
+// unknown type or profile prints the usage and exits 2.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "dns/types.hpp"
 #include "workload/install.hpp"
 
 using namespace zh;
 
 namespace {
 
-dns::RrType parse_type(const std::string& text) {
-  if (text == "A") return dns::RrType::kA;
-  if (text == "AAAA") return dns::RrType::kAaaa;
-  if (text == "NS") return dns::RrType::kNs;
-  if (text == "SOA") return dns::RrType::kSoa;
-  if (text == "TXT") return dns::RrType::kTxt;
-  if (text == "MX") return dns::RrType::kMx;
-  if (text == "CNAME") return dns::RrType::kCname;
-  if (text == "DNSKEY") return dns::RrType::kDnskey;
-  if (text == "DS") return dns::RrType::kDs;
-  if (text == "RRSIG") return dns::RrType::kRrsig;
-  if (text == "NSEC") return dns::RrType::kNsec;
-  if (text == "NSEC3") return dns::RrType::kNsec3;
-  if (text == "NSEC3PARAM") return dns::RrType::kNsec3Param;
-  return dns::RrType::kA;
-}
-
-resolver::ResolverProfile parse_profile(const std::string& text) {
+/// The named vendor profile, or nullopt for an unknown name.
+std::optional<resolver::ResolverProfile> parse_profile(
+    const std::string& text) {
   using P = resolver::ResolverProfile;
   if (text == "bind9" || text == "bind9-2021") return P::bind9_2021();
   if (text == "bind9-2023") return P::bind9_2023();
@@ -49,30 +38,43 @@ resolver::ResolverProfile parse_profile(const std::string& text) {
   if (text == "strict") return P::strict_zero();
   if (text == "permissive") return P::permissive();
   if (text == "plain") return P::non_validating();
-  return P::bind9_2021();
+  return std::nullopt;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <qname> [qtype] [profile] [+cd]\n"
+               "profiles: bind9 bind9-2023 unbound knot google cloudflare "
+               "quad9 opendns technitium strict permissive plain\n",
+               argv0);
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <qname> [qtype] [profile] [+cd]\n"
-                 "profiles: bind9 bind9-2023 unbound knot google cloudflare "
-                 "quad9 opendns technitium strict permissive plain\n",
-                 argv[0]);
-    return 2;
-  }
-  const auto qname = dns::Name::parse(argv[1]);
+  // Positional arguments, with +cd accepted anywhere.
+  std::vector<std::string> args(argv + 1, argv + argc);
+  const auto plus_cd = std::remove(args.begin(), args.end(), "+cd");
+  const bool cd = plus_cd != args.end();
+  args.erase(plus_cd, args.end());
+  if (args.empty()) return usage(argv[0]);
+  const auto qname = dns::Name::parse(args[0]);
   if (!qname) {
-    std::fprintf(stderr, "invalid name: %s\n", argv[1]);
+    std::fprintf(stderr, "invalid name: %s\n", args[0].c_str());
     return 2;
   }
-  const dns::RrType qtype = parse_type(argc > 2 ? argv[2] : "A");
-  const auto profile = parse_profile(argc > 3 ? argv[3] : "bind9");
-  bool cd = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "+cd") == 0) cd = true;
+  const auto qtype =
+      dns::rr_type_from_string(args.size() > 1 ? args[1] : "A");
+  if (!qtype) {
+    std::fprintf(stderr, "unknown type: %s\n", args[1].c_str());
+    return usage(argv[0]);
+  }
+  const auto profile = parse_profile(args.size() > 2 ? args[2] : "bind9");
+  if (!profile) {
+    std::fprintf(stderr, "unknown profile: %s\n", args[2].c_str());
+    return usage(argv[0]);
+  }
 
   // A compact world: the probe zones plus a 1:50000 population.
   workload::EcosystemSpec spec({.scale = 0.00002, .seed = 42});
@@ -82,15 +84,15 @@ int main(int argc, char** argv) {
   internet.build();
 
   auto resolver =
-      internet.make_resolver(profile, simnet::IpAddress::v4(203, 0, 113, 1));
+      internet.make_resolver(*profile, simnet::IpAddress::v4(203, 0, 113, 1));
 
-  dns::Message query = dns::Message::make_query(42, *qname, qtype,
+  dns::Message query = dns::Message::make_query(42, *qname, *qtype,
                                                 /*dnssec_ok=*/true);
   query.header.cd = cd;
   const dns::Message response =
       resolver->handle(query, simnet::IpAddress::v4(203, 0, 113, 2));
 
-  std::printf(";; using profile %s%s\n", profile.name.c_str(),
+  std::printf(";; using profile %s%s\n", profile->name.c_str(),
               cd ? " (+cd)" : "");
   std::printf(";; ->>HEADER<<- rcode: %s, id: %u\n",
               dns::to_string(response.header.rcode).c_str(),

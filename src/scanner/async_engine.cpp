@@ -1,5 +1,7 @@
 #include "scanner/async_engine.hpp"
 
+#include "simnet/exchange.hpp"
+
 namespace zh::scanner {
 
 void QueryTask::begin(const FlowQuery& query, simtime::Duration now,
@@ -73,12 +75,12 @@ QueryTask::Step QueryTask::drive(simnet::Network& network,
               continue;
             return Step{false, now};
           }
-          // No answer: park until this attempt's timeout — the async form
-          // of the blocking engine's clock advance by attempt_timeout().
+          // No answer: park until this attempt's timeout, as
+          // simnet::exchange advances the clock by attempt_timeout().
           // The timeout counts from completed_at, not the send instant: a
           // handler-level drop (the "stop answering" cohort) still runs the
           // delivery — RTT plus service time — before yielding nothing, and
-          // the blocking exchange starts its wait from that advanced clock.
+          // simnet::exchange starts its wait from that advanced clock.
           // For a plain network loss completed_at == the send instant.
           state_ = State::kRetryBackoff;
           return Step{true, completed_at + retry.attempt_timeout(attempt_)};
@@ -124,8 +126,8 @@ bool QueryTask::settle(const simtime::RetryPolicy& retry,
                        bool timed_out, simtime::Duration now) {
   queries += exchange_attempts_;
   logical_attempts_ += exchange_attempts_;
-  // Transient SERVFAILs (RFC 8914 EDE 22/23) re-ask up to the retry budget,
-  // exactly like execute_logical_query's round loop.
+  // Transient SERVFAILs (RFC 8914 EDE 22/23) re-ask with a fresh id, up to
+  // the retry budget in rounds; each round is a full exchange.
   const unsigned rounds = std::max(1u, retry.attempts);
   if (response_ && simnet::transient_servfail(*response_) &&
       round_ + 1 < rounds) {
@@ -142,6 +144,19 @@ bool QueryTask::settle(const simtime::RetryPolicy& retry,
   outcome_.latency = now - logical_start_;
   state_ = State::kDone;
   return false;
+}
+
+void apply_totals(DomainScanResult& result, const TaskTotals& totals) {
+  result.elapsed = totals.elapsed;
+  result.timeouts = static_cast<unsigned>(totals.timeouts);
+}
+
+void apply_totals(ResolverProbeResult& result, const TaskTotals& totals) {
+  result.elapsed = totals.elapsed;
+  result.timeouts = totals.timeouts;
+  result.queue_wait = simtime::Duration::from_ns(
+      static_cast<std::int64_t>(totals.queue_wait_ns));
+  result.queue_drops = totals.queue_drops;
 }
 
 }  // namespace zh::scanner

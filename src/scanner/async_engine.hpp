@@ -1,7 +1,7 @@
 // ZDNS-class async scan engine: per-query state machines over a simtime
-// timer wheel.
+// timer wheel. It drives every scan and probe; a single one is a one-item run.
 //
-// The blocking engine interleaves nothing — each scan's waits (lost-packet
+// A serial loop interleaves nothing — each scan's waits (lost-packet
 // timeouts, RTTs under a latency model) serialize behind every other
 // scan's. This engine multiplexes thousands of resolutions over ONE worker
 // thread: each item is a resumable task whose logical queries run as an
@@ -10,8 +10,8 @@
 // timer wheel (simtime/timer_wheel.hpp) and the engine resumes whichever
 // task's deadline comes first.
 //
-// Determinism and byte-equivalence with the blocking engine rest on three
-// properties the simulation already guarantees:
+// Determinism, with the window size and worker count unobservable, rests
+// on three properties the simulation already guarantees:
 //  * Per-task local timelines. The virtual clock is set() to the task's own
 //    time at every resume (the multiplexing pattern Clock::set documents and
 //    simnet::concurrent_exchange established), so a task's latencies are
@@ -23,11 +23,10 @@
 //    in between.
 //  * Delta-based accounting. Queue counters and tracer stage totals are
 //    snapshotted around each resume and the deltas accrued to the task, so
-//    per-item aggregates equal the blocking engine's whole-item deltas.
-// The campaign layers then fold per-item results in position order — the
-// same order the blocking engine used — making the aggregation itself
-// trivially identical. tests/test_async_engine.cpp pins all of this to the
-// canonical byte codec.
+//    per-item aggregates equal the item's own whole-run deltas.
+// The campaign layers fold each item as it settles: every aggregate is a
+// commutative integer count, so the settle order leaves no trace.
+// tests/test_async_engine.cpp pins all of this to the canonical byte codec.
 #pragma once
 
 #include <algorithm>
@@ -49,20 +48,19 @@ namespace zh::scanner {
 struct AsyncOptions {
   /// Concurrent resolutions in flight (the ZDNS "goroutine count" analog).
   std::size_t max_inflight = 1024;
-  /// Client retransmission policy (zdns defaults), same as the blocking
-  /// engine's.
+  /// Client retransmission policy (zdns defaults).
   simtime::RetryPolicy retry{};
   /// Timer-wheel tick granularity. Expiries fire at exact deadlines; the
   /// tick only bounds per-advance bucketing work.
   simtime::Duration wheel_tick = simtime::Duration::from_ms(1);
 };
 
-/// Per-item aggregates the engine accrues across resumes — exactly the
-/// quantities the campaign layers measured around each blocking item.
+/// Per-item aggregates the engine accrues across resumes — the item's own
+/// share of the clock, the wire and the shared counters.
 struct TaskTotals {
   /// Task-local virtual time from admission to settlement.
   simtime::Duration elapsed;
-  /// Wire attempts the item spent (== the blocking queries_issued share).
+  /// Wire attempts the item spent (TCP fallbacks and re-asks included).
   std::uint64_t queries = 0;
   /// Logical queries whose final exchange exhausted every retransmission.
   std::uint64_t timeouts = 0;
@@ -76,8 +74,8 @@ struct TaskTotals {
 
 /// One logical query as a resumable state machine: retransmission with
 /// exponential backoff, UDP→TCP fallback on truncation, and the
-/// transient-SERVFAIL re-ask loop — simnet::exchange plus the
-/// execute_logical_query round loop, unrolled into park/resume form.
+/// transient-SERVFAIL re-ask loop — simnet::exchange plus a re-ask round
+/// loop, unrolled into park/resume form.
 class QueryTask {
  public:
   enum class State : std::uint8_t {
@@ -101,13 +99,12 @@ class QueryTask {
 
   /// Runs the machine from `now` (the caller has already set the clock and
   /// resumed the task's network flow) until it parks or settles. `queries`
-  /// advances by every wire attempt, matching the blocking counters.
+  /// advances by every wire attempt.
   Step drive(simnet::Network& network, const simnet::IpAddress& source,
              const simnet::IpAddress& destination,
              const simtime::RetryPolicy& retry, std::uint16_t& next_id,
              std::uint64_t& queries, simtime::Duration now);
 
-  State state() const noexcept { return state_; }
   FlowOutcome take_outcome() {
     state_ = State::kIdle;
     return std::move(outcome_);
@@ -138,7 +135,7 @@ template <typename Flow>
 struct AsyncItem {
   /// Caller-side identity (e.g. domain index); opaque to the engine.
   std::size_t index = 0;
-  /// Network flow key (item identity), as the blocking engine's set_flow.
+  /// Network flow key (item identity): keys the item's transport draws.
   std::uint64_t flow_key = 0;
   simnet::IpAddress destination;
   Flow flow;
@@ -164,13 +161,12 @@ class AsyncEngine {
 
   /// Runs `count` items: `make` supplies item `position` when a window slot
   /// frees up; `on_complete` fires in (deterministic) completion order.
-  /// Returns the makespan and leaves the clock at the last settlement, like
-  /// a blocking sweep would.
+  /// Returns the makespan and leaves the clock at the last settlement.
   simtime::Duration run(std::size_t count, const MakeItem& make,
                         const OnComplete& on_complete) {
     const simtime::Duration epoch = network_.clock().now();
     wheel_ = simtime::TimerWheel(options_.wheel_tick);
-    wheel_.advance(epoch);  // align wheel time with the virtual clock
+    wheel_.advance(epoch);  // align with the clock: a jump, nothing is armed
     tasks_.clear();
     free_slots_.clear();
     next_position_ = 0;
@@ -266,7 +262,7 @@ class AsyncEngine {
     const simtime::Duration finish_time = task.finish_time;
     free_slots_.push_back(static_cast<std::size_t>(slot));
     // A settled task frees a window slot: admit the next item at this very
-    // instant — the async analog of the blocking engine's next iteration.
+    // instant, so a window of one runs the items back to back.
     if (next_position_ < count_) admit(make, finish_time);
   }
 
@@ -312,5 +308,31 @@ class AsyncEngine {
   std::uint16_t next_id_ = 1;
   std::uint64_t queries_ = 0;
 };
+
+/// Copies an item's engine totals into its settled result: the timeline and
+/// retry bookkeeping a flow leaves at zero. One helper per result type,
+/// shared by one-item runs, the campaign and the sweep.
+void apply_totals(DomainScanResult& result, const TaskTotals& totals);
+void apply_totals(ResolverProbeResult& result, const TaskTotals& totals);
+
+/// Runs one item to settlement on a fresh engine and returns its result with
+/// the totals applied; adds the item's wire attempts to `queries`. This is
+/// DomainScanner::scan and ResolverProber::probe.
+template <typename Flow>
+auto run_one(simnet::Network& network, const simnet::IpAddress& source,
+             const simtime::RetryPolicy& retry, AsyncItem<Flow> item,
+             std::uint64_t& queries) {
+  AsyncEngine<Flow> engine(network, source,
+                           {.max_inflight = 1, .retry = retry});
+  decltype(item.flow.take_result()) result;
+  engine.run(
+      1, [&item](std::size_t) { return std::move(item); },
+      [&result](std::size_t, Flow& flow, const TaskTotals& totals) {
+        result = flow.take_result();
+        apply_totals(result, totals);
+      });
+  queries += engine.queries_issued();
+  return result;
+}
 
 }  // namespace zh::scanner

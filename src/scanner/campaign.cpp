@@ -42,8 +42,7 @@ DomainCampaign::DomainCampaign(testbed::Internet& internet,
       spec_(spec),
       scan_resolver_(scan_resolver),
       source_(source),
-      retry_(retry),
-      scanner_(internet.network(), source, scan_resolver, retry) {}
+      retry_(retry) {}
 
 void DomainCampaign::run(std::size_t limit, std::size_t stride) {
   run_shard(0, 1, limit, stride);
@@ -80,43 +79,12 @@ void DomainCampaign::warm_tld_caches() {
 }
 
 void DomainCampaign::run_shard(std::size_t shard, std::size_t shards,
-                               std::size_t limit, std::size_t stride) {
+                               std::size_t limit, std::size_t stride,
+                               std::size_t max_inflight) {
   warm_tld_caches();
   // Snapshot the RFC 8198/9520 metrics *after* warming: the warm queries
   // are duplicated per shard, so only scan-attributable hits — which are
   // item-local and therefore shard-sum-invariant — enter the stats.
-  trace::Metrics& metrics = internet_.network().tracer().metrics();
-  const std::uint64_t synth_before = metrics.value("resolver.neg_synth_hit");
-  const std::uint64_t failure_before =
-      metrics.value("resolver.failure_cache_hit");
-  const std::size_t count = std::min(limit, spec_.domain_count());
-  for (std::size_t position = shard;; position += shards) {
-    const std::size_t index = position * stride;
-    if (index >= count || index / stride != position) break;  // overflow
-    const workload::DomainProfile profile = spec_.domain(index);
-    const simtime::QueueCounters queue_before =
-        internet_.network().queue_counters();
-    const trace::StageTotals stages_before =
-        internet_.network().tracer().stages();
-    const DomainScanResult result = scanner_.scan(profile.apex);
-    const simtime::QueueCounters& queue_after =
-        internet_.network().queue_counters();
-    accumulate_scan(index, result,
-                    queue_after.wait_ns - queue_before.wait_ns,
-                    queue_after.dropped - queue_before.dropped,
-                    trace::stage_delta(internet_.network().tracer().stages(),
-                                       stages_before));
-  }
-  stats_.neg_synth_hits +=
-      metrics.value("resolver.neg_synth_hit") - synth_before;
-  stats_.failure_cache_hits +=
-      metrics.value("resolver.failure_cache_hit") - failure_before;
-}
-
-void DomainCampaign::run_shard_async(std::size_t shard, std::size_t shards,
-                                     std::size_t limit, std::size_t stride,
-                                     std::size_t max_inflight) {
-  warm_tld_caches();
   trace::Metrics& metrics = internet_.network().tracer().metrics();
   const std::uint64_t synth_before = metrics.value("resolver.neg_synth_hit");
   const std::uint64_t failure_before =
@@ -129,45 +97,35 @@ void DomainCampaign::run_shard_async(std::size_t shard, std::size_t shards,
     indexes.push_back(index);
   }
 
-  AsyncOptions options;
-  options.max_inflight = max_inflight;
-  options.retry = retry_;
-  AsyncEngine<DomainScanFlow> engine(internet_.network(), source_, options);
-  struct FinishedScan {
-    DomainScanResult result;
-    TaskTotals totals;
-  };
-  std::vector<FinishedScan> finished(indexes.size());
+  AsyncEngine<DomainScanFlow> engine(
+      internet_.network(), source_,
+      {.max_inflight = max_inflight, .retry = retry_});
+  const std::size_t first_record = records_.size();
   engine.run(
       indexes.size(),
       [&](std::size_t position) {
         const workload::DomainProfile profile =
             spec_.domain(indexes[position]);
-        AsyncItem<DomainScanFlow> item;
-        item.index = indexes[position];
-        item.flow_key =
-            simtime::fnv1a(profile.apex.canonical().to_string());
-        item.destination = scan_resolver_;
-        item.flow = DomainScanFlow(
-            profile.apex, [this] { return async_probe_token_++; });
-        return item;
+        return AsyncItem<DomainScanFlow>{
+            .index = indexes[position],
+            .flow_key = simtime::fnv1a(profile.apex.canonical().to_string()),
+            .destination = scan_resolver_,
+            .flow = DomainScanFlow(profile.apex,
+                                   [this] { return probe_token_++; })};
       },
       [&](std::size_t position, DomainScanFlow& flow,
           const TaskTotals& totals) {
-        finished[position] = FinishedScan{flow.take_result(), totals};
+        DomainScanResult result = flow.take_result();
+        apply_totals(result, totals);
+        accumulate_scan(indexes[position], result, totals);
       });
-  async_queries_ += engine.queries_issued();
-
-  // Fold in position order — the blocking loop's order — so stats_ and
-  // records_ accumulate through the identical operation sequence.
-  for (std::size_t position = 0; position < indexes.size(); ++position) {
-    FinishedScan& scan = finished[position];
-    scan.result.elapsed = scan.totals.elapsed;
-    scan.result.timeouts = static_cast<unsigned>(scan.totals.timeouts);
-    accumulate_scan(indexes[position], scan.result,
-                    scan.totals.queue_wait_ns, scan.totals.queue_drops,
-                    scan.totals.stages);
-  }
+  queries_ += engine.queries_issued();
+  // Scans settle out of order; restore domain-index order once.
+  std::sort(records_.begin() + static_cast<std::ptrdiff_t>(first_record),
+            records_.end(),
+            [](const CompactDomainRecord& a, const CompactDomainRecord& b) {
+              return a.index < b.index;
+            });
   stats_.neg_synth_hits +=
       metrics.value("resolver.neg_synth_hit") - synth_before;
   stats_.failure_cache_hits +=
@@ -176,16 +134,14 @@ void DomainCampaign::run_shard_async(std::size_t shard, std::size_t shards,
 
 void DomainCampaign::accumulate_scan(std::size_t index,
                                      const DomainScanResult& result,
-                                     std::uint64_t queue_wait_ns,
-                                     std::uint64_t queue_drops,
-                                     const trace::StageTotals&
-                                         stage_delta_ns) {
+                                     const TaskTotals& totals) {
   ++stats_.scanned;
   stats_.scan_latency_us.add(result.elapsed.micros());
   stats_.timeouts += result.timeouts;
-  stats_.queue_delay_us.add(static_cast<std::int64_t>(queue_wait_ns / 1000));
-  stats_.queue_drops += queue_drops;
-  stats_.add_stages(stage_delta_ns);
+  stats_.queue_delay_us.add(
+      static_cast<std::int64_t>(totals.queue_wait_ns / 1000));
+  stats_.queue_drops += totals.queue_drops;
+  stats_.add_stages(totals.stages);
   CompactDomainRecord record;
   record.index = static_cast<std::uint32_t>(index);
   record.classification = result.classification;
@@ -221,7 +177,6 @@ void DomainCampaign::accumulate_scan(std::size_t index,
                                      std::to_string(nsec3.salt.size()));
     }
   }
-  by_index_[record.index] = records_.size();
   records_.push_back(record);
 }
 
@@ -264,12 +219,6 @@ void DomainCampaignStats::add_stages(const trace::StageTotals& delta_ns) {
   stage_recurse_us.add(us(trace::Stage::kRecurse));
   stage_validate_us.add(us(trace::Stage::kValidate));
   stage_queue_wait_us.add(us(trace::Stage::kQueueWait));
-}
-
-const CompactDomainRecord* DomainCampaign::record_for(
-    std::size_t index) const {
-  const auto it = by_index_.find(static_cast<std::uint32_t>(index));
-  return it == by_index_.end() ? nullptr : &records_[it->second];
 }
 
 TldCensusStats scan_tlds(testbed::Internet& internet,

@@ -17,6 +17,8 @@
 
 namespace zh::scanner {
 
+struct TaskTotals;  // scanner/async_engine.hpp
+
 /// Minimal per-domain record kept after scanning (for intersections).
 struct CompactDomainRecord {
   std::uint32_t index = 0;
@@ -74,7 +76,7 @@ struct DomainCampaignStats {
 
   /// RFC 8198 / RFC 9520 activity of the scan resolver during this shard
   /// (per-shard metric deltas, so sums over shards equal the serial run —
-  /// jobs/procs/engine-invariant). Zero unless the scan resolver's profile
+  /// jobs/procs/window-invariant). Zero unless the scan resolver's profile
   /// enables the respective cache.
   std::uint64_t neg_synth_hits = 0;
   std::uint64_t failure_cache_hits = 0;
@@ -107,41 +109,26 @@ class DomainCampaign {
   /// Scans shard `shard` of `shards`: the positions j ≡ shard (mod shards)
   /// of the index sequence run() would visit. The union over all shards is
   /// exactly run()'s visit set, for any shard count, so merging the
-  /// per-shard stats reproduces the serial campaign bit-for-bit.
+  /// per-shard stats reproduces the serial campaign bit-for-bit. The scan
+  /// engine (scanner/async_engine.hpp) keeps up to `max_inflight` scans in
+  /// flight on this thread; the window is unobservable in every result.
   void run_shard(std::size_t shard, std::size_t shards,
                  std::size_t limit = static_cast<std::size_t>(-1),
-                 std::size_t stride = 1);
-
-  /// run_shard over the async engine (scanner/async_engine.hpp): the same
-  /// visit set driven as up to `max_inflight` concurrent per-query state
-  /// machines on this thread. Stats, records and query counts are
-  /// byte-identical to run_shard's — per-item observations are flow-keyed
-  /// and time-local, and the aggregation folds finished scans in position
-  /// order, exactly like the blocking loop.
-  void run_shard_async(std::size_t shard, std::size_t shards,
-                       std::size_t limit = static_cast<std::size_t>(-1),
-                       std::size_t stride = 1,
-                       std::size_t max_inflight = 1024);
+                 std::size_t stride = 1, std::size_t max_inflight = 1024);
 
   const DomainCampaignStats& stats() const noexcept { return stats_; }
+  /// One record per scanned domain, in domain-index order per run_shard.
   const std::vector<CompactDomainRecord>& records() const noexcept {
     return records_;
   }
-  /// Record by domain index (records are appended in scan order).
-  const CompactDomainRecord* record_for(std::size_t index) const;
 
-  std::uint64_t queries_issued() const noexcept {
-    return scanner_.queries_issued() + async_queries_;
-  }
+  std::uint64_t queries_issued() const noexcept { return queries_; }
 
  private:
-  /// Folds one finished scan into stats_/records_ — the shared aggregation
-  /// tail of run_shard (blocking) and run_shard_async. The deltas are the
-  /// item's own queue-counter and tracer-stage movements.
+  /// Folds one settled scan into stats_/records_, as it settles. `totals`
+  /// carries the item's own queue-counter and tracer-stage movements.
   void accumulate_scan(std::size_t index, const DomainScanResult& result,
-                       std::uint64_t queue_wait_ns,
-                       std::uint64_t queue_drops,
-                       const trace::StageTotals& stage_delta_ns);
+                       const TaskTotals& totals);
   /// With a time model active, resolves every census TLD's DNSKEY and every
   /// hosting operator's NS-host address once, so the scan resolver's
   /// root/TLD/operator caches are warm before the first scan. Shards then
@@ -155,12 +142,10 @@ class DomainCampaign {
   simnet::IpAddress scan_resolver_;
   simnet::IpAddress source_;
   simtime::RetryPolicy retry_;
-  DomainScanner scanner_;
-  std::uint64_t async_queries_ = 0;      // run_shard_async's wire attempts
-  std::uint64_t async_probe_token_ = 0;  // run_shard_async's token counter
+  std::uint64_t queries_ = 0;      // wire attempts of every scan
+  std::uint64_t probe_token_ = 0;  // negative-probe token counter
   DomainCampaignStats stats_;
   std::vector<CompactDomainRecord> records_;
-  std::map<std::uint32_t, std::size_t> by_index_;
   bool warmed_ = false;
 };
 

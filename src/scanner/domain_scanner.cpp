@@ -1,6 +1,6 @@
 #include "scanner/domain_scanner.hpp"
 
-#include "scanner/scan_flow.hpp"
+#include "scanner/async_engine.hpp"
 
 namespace zh::scanner {
 
@@ -17,17 +17,13 @@ DomainScanResult DomainScanner::scan(const dns::Name& apex) {
   // Flow-key the scan on the apex, so this domain's loss/jitter draws do
   // not depend on how many queries earlier scans issued — the property
   // that keeps sharded campaigns identical for any worker count.
-  network_.set_flow(simtime::fnv1a(apex.canonical().to_string()));
-  const simtime::Duration start = network_.clock().now();
-  DomainScanFlow flow(apex, [this] { return probe_token_++; });
-  while (const FlowQuery* q = flow.pending()) {
-    flow.feed(execute_logical_query(network_, source_, resolver_, *q, retry_,
-                                    next_id_, queries_));
-  }
-  DomainScanResult result = flow.take_result();
-  result.elapsed = network_.clock().now() - start;
-  result.timeouts = flow.timeouts();
-  return result;
+  return run_one(
+      network_, source_, retry_,
+      AsyncItem<DomainScanFlow>{
+          .flow_key = simtime::fnv1a(apex.canonical().to_string()),
+          .destination = resolver_,
+          .flow = DomainScanFlow(apex, [this] { return probe_token_++; })},
+      queries_);
 }
 
 }  // namespace zh::scanner

@@ -78,7 +78,8 @@ class DomainScanner {
   DomainScanner(simnet::Network& network, simnet::IpAddress source,
                 simnet::IpAddress resolver, simtime::RetryPolicy retry = {});
 
-  /// Runs the full §4.1 sequence against one domain.
+  /// Runs the full §4.1 sequence against one domain: a one-item run of the
+  /// scan engine (scanner/async_engine.hpp).
   DomainScanResult scan(const dns::Name& apex);
 
   std::uint64_t queries_issued() const noexcept { return queries_; }
@@ -88,7 +89,6 @@ class DomainScanner {
   simnet::IpAddress source_;
   simnet::IpAddress resolver_;
   simtime::RetryPolicy retry_;
-  std::uint16_t next_id_ = 1;
   std::uint64_t probe_token_ = 0;
   std::uint64_t queries_ = 0;
 };

@@ -6,7 +6,6 @@
 
 #include "crypto/cost_meter.hpp"
 #include "scanner/async_engine.hpp"
-#include "scanner/resolver_prober.hpp"
 #include "workload/install.hpp"
 
 namespace zh::scanner {
@@ -141,16 +140,9 @@ ParallelCampaignResult run_domain_campaign_parallel(
     // span·jobs) — the union over processes and threads tiles the serial
     // visit order exactly (see ParallelOptions::shard_index).
     const unsigned span = shard_span(options);
-    if (options.engine == Engine::kAsync) {
-      campaign.run_shard_async(options.shard_index + span * shard,
-                               static_cast<std::size_t>(span) * jobs,
-                               options.limit, options.stride,
-                               options.max_inflight);
-    } else {
-      campaign.run_shard(options.shard_index + span * shard,
-                         static_cast<std::size_t>(span) * jobs, options.limit,
-                         options.stride);
-    }
+    campaign.run_shard(options.shard_index + span * shard,
+                       static_cast<std::size_t>(span) * jobs, options.limit,
+                       options.stride, options.max_inflight);
     out.stats = campaign.stats();
     out.records = campaign.records();
     out.queries = campaign.queries_issued();
@@ -228,57 +220,28 @@ ParallelSweepResult run_resolver_sweep_parallel(
         sweep_metrics.value("resolver.neg_synth_hit");
     const std::uint64_t failure_before =
         sweep_metrics.value("resolver.failure_cache_hit");
-    if (options.engine == Engine::kAsync) {
-      AsyncOptions async_options;
-      async_options.max_inflight = options.max_inflight;
-      async_options.retry = options.retry;
-      AsyncEngine<ProbeFlow> engine(world.internet->network(),
-                                    shard_source(shard), async_options);
-      struct FinishedProbe {
-        ResolverProbeResult result;
-        TaskTotals totals;
-      };
-      std::vector<FinishedProbe> finished(members.size());
-      engine.run(
-          members.size(),
-          [&](std::size_t position) {
-            const std::size_t j = members[position];
-            const std::string token = token_prefix + std::to_string(j);
-            AsyncItem<ProbeFlow> item;
-            item.index = j;
-            item.flow_key = simtime::fnv1a(token);
-            item.destination = population.members[j].address;
-            item.flow = ProbeFlow(&world.probe_zones, token);
-            return item;
-          },
-          [&](std::size_t position, ProbeFlow& flow,
-              const TaskTotals& totals) {
-            finished[position] = FinishedProbe{flow.take_result(), totals};
-          });
-      // Fold in member order — the blocking loop's order.
-      for (FinishedProbe& probe : finished) {
-        probe.result.timeouts = probe.totals.timeouts;
-        probe.result.elapsed = probe.totals.elapsed;
-        probe.result.queue_wait = simtime::Duration::from_ns(
-            static_cast<std::int64_t>(probe.totals.queue_wait_ns));
-        probe.result.queue_drops = probe.totals.queue_drops;
-        out.stats.add(probe.result);
-        out.stats.add_stages(probe.totals.stages);
-      }
-      out.queries = engine.queries_issued();
-    } else {
-      ResolverProber prober(world.internet->network(), shard_source(shard),
-                            world.probe_zones, options.retry);
-      trace::Tracer& tracer = world.internet->network().tracer();
-      for (const std::size_t j : members) {
-        const trace::StageTotals stages_before = tracer.stages();
-        out.stats.add(prober.probe(population.members[j].address,
-                                   token_prefix + std::to_string(j)));
-        out.stats.add_stages(
-            trace::stage_delta(tracer.stages(), stages_before));
-      }
-      out.queries = prober.queries_issued();
-    }
+    AsyncEngine<ProbeFlow> engine(
+        world.internet->network(), shard_source(shard),
+        {.max_inflight = options.max_inflight, .retry = options.retry});
+    engine.run(
+        members.size(),
+        [&](std::size_t position) {
+          const std::size_t j = members[position];
+          const std::string token = token_prefix + std::to_string(j);
+          return AsyncItem<ProbeFlow>{
+              .index = j,
+              .flow_key = simtime::fnv1a(token),
+              .destination = population.members[j].address,
+              .flow = ProbeFlow(&world.probe_zones, token)};
+        },
+        [&](std::size_t, ProbeFlow& flow, const TaskTotals& totals) {
+          // Fold as it settles: every sweep aggregate is a count.
+          ResolverProbeResult result = flow.take_result();
+          apply_totals(result, totals);
+          out.stats.add(result);
+          out.stats.add_stages(totals.stages);
+        });
+    out.queries = engine.queries_issued();
     out.stats.neg_synth_hits +=
         sweep_metrics.value("resolver.neg_synth_hit") - synth_before;
     out.stats.failure_cache_hits +=

@@ -76,22 +76,18 @@ ShardWorldFactory default_world_factory(
     resolver::ResolverProfile scan_profile =
         resolver::ResolverProfile::cloudflare());
 
-/// Which scan engine drives each worker's shard.
+/// The scan engine: per-query state machines over a timer wheel, up to
+/// max_inflight resolutions per worker (scanner/async_engine.hpp).
 enum class Engine {
-  /// One resolution at a time per worker (the historical engine).
-  kBlocking,
-  /// Per-query state machines over a timer wheel, up to max_inflight
-  /// resolutions per worker (scanner/async_engine.hpp). Campaign outputs
-  /// are byte-identical to the blocking engine's for the same sharding.
   kAsync,
 };
 
 struct ParallelOptions {
   /// Worker count K. 0 means default_jobs().
   unsigned jobs = 1;
-  /// Scan engine per worker (campaign outputs are engine-invariant).
-  Engine engine = Engine::kBlocking;
-  /// Concurrent resolutions per worker when engine == kAsync.
+  /// Kept because perfbench/driver/{scan,sweep}.cpp assign it.
+  Engine engine = Engine::kAsync;
+  /// Concurrent resolutions per worker; unobservable in every artefact.
   std::size_t max_inflight = 1024;
   /// Process-level sub-sharding (scanner/process.hpp): this run covers
   /// only the campaign positions j ≡ shard_index (mod shard_count) of the
@@ -128,7 +124,8 @@ struct ParallelOptions {
   /// Event-tracing configuration applied to each worker's tracer (off by
   /// default — see trace/trace.hpp). Per-shard buffers merge in shard
   /// order into the result's Collector. Raw event streams are per-shard
-  /// artefacts: byte-identical for the same (seed, jobs), while the
+  /// artefacts: byte-identical for the same (seed, jobs, max_inflight) —
+  /// concurrent scans interleave their events — while the
   /// *aggregated* quantities (stats, stage Ecdfs, per-item records) stay
   /// bit-identical for any jobs value.
   trace::Config trace{};

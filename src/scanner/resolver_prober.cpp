@@ -1,6 +1,6 @@
 #include "scanner/resolver_prober.hpp"
 
-#include "scanner/scan_flow.hpp"
+#include "scanner/async_engine.hpp"
 
 namespace zh::scanner {
 
@@ -17,22 +17,11 @@ ResolverProbeResult ResolverProber::probe(const simnet::IpAddress& resolver,
                                           const std::string& token) {
   // Flow-key the probe on its (unique) token, so this resolver's loss and
   // jitter draws are independent of the rest of the population sweep.
-  network_.set_flow(simtime::fnv1a(token));
-  const simtime::Duration start = network_.clock().now();
-  const simtime::QueueCounters queue_before = network_.queue_counters();
-  ProbeFlow flow(&specs_, token);
-  while (const FlowQuery* q = flow.pending()) {
-    flow.feed(execute_logical_query(network_, source_, resolver, *q, retry_,
-                                    next_id_, queries_));
-  }
-  ResolverProbeResult result = flow.take_result();
-  result.timeouts = flow.timeouts();
-  result.elapsed = network_.clock().now() - start;
-  const simtime::QueueCounters& queue_after = network_.queue_counters();
-  result.queue_wait = simtime::Duration::from_ns(
-      static_cast<std::int64_t>(queue_after.wait_ns - queue_before.wait_ns));
-  result.queue_drops = queue_after.dropped - queue_before.dropped;
-  return result;
+  return run_one(network_, source_, retry_,
+                 AsyncItem<ProbeFlow>{.flow_key = simtime::fnv1a(token),
+                                      .destination = resolver,
+                                      .flow = ProbeFlow(&specs_, token)},
+                 queries_);
 }
 
 }  // namespace zh::scanner

@@ -91,6 +91,7 @@ class ResolverProber {
 
   /// Probes one resolver; `token` makes this resolver's query names unique
   /// (cache busting across a population sweep, §4.2 wildcard rationale).
+  /// A one-item run of the scan engine (scanner/async_engine.hpp).
   ResolverProbeResult probe(const simnet::IpAddress& resolver,
                             const std::string& token);
 
@@ -101,7 +102,6 @@ class ResolverProber {
   simnet::IpAddress source_;
   std::vector<testbed::ProbeZone> specs_;
   simtime::RetryPolicy retry_;
-  std::uint16_t next_id_ = 1;
   std::uint64_t queries_ = 0;
 };
 

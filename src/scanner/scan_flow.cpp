@@ -1,5 +1,6 @@
 #include "scanner/scan_flow.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace zh::scanner {
@@ -20,7 +21,6 @@ DomainScanFlow::DomainScanFlow(Name apex, ProbeTokenSource token_source)
 }
 
 void DomainScanFlow::feed(const FlowOutcome& outcome) {
-  if (outcome.timed_out) ++timeouts_;
   switch (step_) {
     case Step::kDnskey: {
       // 1. DNSKEY.
@@ -67,7 +67,7 @@ void DomainScanFlow::feed(const FlowOutcome& outcome) {
       //    has them. Fixed-width token: NSEC3 hashing cost depends on the
       //    name's length, so a padded counter keeps per-scan service time
       //    independent of how many scans ran before (a worker-count and
-      //    engine invariance requirement).
+      //    window invariance requirement).
       char token[24];
       std::snprintf(token, sizeof token, "zz-scan-%08llu",
                     static_cast<unsigned long long>(token_source_()));
@@ -173,7 +173,6 @@ ZoneObservation ProbeFlow::to_observation(const FlowOutcome& outcome) {
 }
 
 void ProbeFlow::feed(const FlowOutcome& outcome) {
-  if (outcome.timed_out) ++timeouts_;
   const ZoneObservation observation = to_observation(outcome);
   switch (stage_) {
     case Stage::kValid:

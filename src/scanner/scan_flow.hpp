@@ -1,28 +1,21 @@
 // Resumable measurement flows: the §4.1 domain-scan and §4.2 resolver-probe
 // pipelines as explicit state machines over *logical queries*.
 //
-// Both engines drive the same flow objects:
-//   * the blocking engine (DomainScanner::scan, ResolverProber::probe) runs
-//     pending() → execute → feed() in a tight loop, exactly reproducing the
-//     pre-refactor call sequence byte for byte;
-//   * the async engine (scanner/async_engine.hpp) parks a flow whenever its
-//     logical query waits on the network and resumes it from a timer-wheel
-//     expiry, which is how one worker thread keeps thousands of scans in
-//     flight.
-// Because classification logic exists once — here — the two engines cannot
-// drift apart; the equivalence suite (tests/test_async_engine.cpp) then
-// pins the remaining engine-side arithmetic (retry accounting, latency
-// deltas) to byte-identical campaign statistics.
+// The async engine (scanner/async_engine.hpp) drives every flow: it parks a
+// flow whenever its logical query waits on the network and resumes it from
+// a timer-wheel expiry, which is how one worker thread keeps thousands of
+// scans in flight — and a single scan is the same machinery with one item.
+// Classification logic exists once, here; the engine only decides when each
+// flow's next query runs.
 //
 // A *logical query* is one question with the full client policy applied:
 // up to RetryPolicy::attempts wire transmissions with exponential timeouts,
 // UDP→TCP fallback on truncation, and the transient-SERVFAIL re-ask loop
 // (RFC 8914 EDE 22/23 marks transport fates, not domain properties). The
-// flow only sees the settled outcome; how the attempts were scheduled —
-// blocking waits or timer-wheel wake-ups — is the engine's business.
+// flow only sees the settled outcome; how the attempts were scheduled is
+// the engine's business.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -32,7 +25,6 @@
 #include "dns/message.hpp"
 #include "scanner/domain_scanner.hpp"
 #include "scanner/resolver_prober.hpp"
-#include "simnet/exchange.hpp"
 #include "simtime/simtime.hpp"
 
 namespace zh::scanner {
@@ -59,40 +51,9 @@ struct FlowOutcome {
   simtime::Duration latency;
 };
 
-/// Executes one logical query synchronously: the blocking engines' driver.
-/// Replicates the exchange + transient-SERVFAIL re-ask loop the scanner
-/// and prober always used; `next_id` and `queries` are the caller's wire
-/// counters (queries advances by every attempt, exactly as before).
-inline FlowOutcome execute_logical_query(simnet::Network& network,
-                                         const simnet::IpAddress& source,
-                                         const simnet::IpAddress& destination,
-                                         const FlowQuery& q,
-                                         const simtime::RetryPolicy& retry,
-                                         std::uint16_t& next_id,
-                                         std::uint64_t& queries) {
-  FlowOutcome out;
-  const unsigned rounds = std::max(1u, retry.attempts);
-  const simtime::Duration start = network.clock().now();
-  simnet::ExchangeOutcome ex;
-  for (unsigned round = 0; round < rounds; ++round) {
-    dns::Message query = dns::Message::make_query(next_id++, q.qname, q.type,
-                                                  /*dnssec_ok=*/true);
-    if (q.cd) query.header.cd = true;
-    ex = simnet::exchange(network, source, destination, query, retry);
-    queries += ex.attempts;
-    out.attempts += ex.attempts;
-    if (!ex.response || !simnet::transient_servfail(*ex.response)) break;
-  }
-  out.response = std::move(ex.response);
-  out.timed_out = ex.timed_out;
-  out.latency = network.clock().now() - start;
-  return out;
-}
-
 /// Supplies negative-probe tokens on demand. Passed as a callback so the
-/// token counter advances only when a scan actually reaches the probe step
-/// — preserving the blocking engine's historical consumption order, while
-/// the async engine hands out tokens in (deterministic) completion order.
+/// token counter advances only when a scan actually reaches the probe step;
+/// the engine hands tokens out in (deterministic) completion order.
 /// Token *values* influence no campaign statistic: the probe label is
 /// fixed-width, so hashing cost is value-independent, and every NSEC3
 /// record of a synthetic zone carries the same parameters.
@@ -109,16 +70,13 @@ class DomainScanFlow {
   const FlowQuery* pending() const {
     return done_ ? nullptr : &pending_;
   }
-  bool done() const noexcept { return done_; }
 
   /// Feeds the pending query's outcome and advances the pipeline.
   void feed(const FlowOutcome& outcome);
 
-  /// Logical queries whose final exchange timed out, so far.
-  unsigned timeouts() const noexcept { return timeouts_; }
-
   /// The scan result (classification, parameters, NS set). The caller owns
-  /// the timeline: elapsed stays zero here.
+  /// the timeline: elapsed and timeouts stay zero here (apply_totals fills
+  /// them).
   DomainScanResult take_result() { return std::move(result_); }
 
  private:
@@ -131,7 +89,6 @@ class DomainScanFlow {
   Step step_ = Step::kDnskey;
   bool done_ = true;  // default-constructed flows are inert
   FlowQuery pending_;
-  unsigned timeouts_ = 0;
   DomainScanResult result_;
 };
 
@@ -147,16 +104,12 @@ class ProbeFlow {
   const FlowQuery* pending() const {
     return done_ ? nullptr : &pending_;
   }
-  bool done() const noexcept { return done_; }
 
   void feed(const FlowOutcome& outcome);
 
-  /// Logical queries whose final exchange timed out, so far.
-  std::uint64_t timeouts() const noexcept { return timeouts_; }
-
   /// The probe result. The caller owns the timeline and the queue-counter
   /// bookkeeping: elapsed / queue_wait / queue_drops / timeouts stay zero
-  /// here (ResolverProber::probe and the async engine fill them).
+  /// here (apply_totals in scanner/async_engine.hpp fills them).
   ResolverProbeResult take_result() { return std::move(result_); }
 
  private:
@@ -185,7 +138,6 @@ class ProbeFlow {
   std::size_t sweep_index_ = 0;
   bool done_ = true;  // default-constructed flows are inert
   FlowQuery pending_;
-  std::uint64_t timeouts_ = 0;
   ResolverProbeResult result_;
 };
 

@@ -67,6 +67,17 @@ std::vector<TimerWheel::Expiry> TimerWheel::advance(Duration now) {
   const std::int64_t now_ns = now.nanos();
   if (now_ns > now_.nanos()) now_ = now;
   const std::int64_t target_tick = tick_of(now_.nanos());
+  if (live_.empty()) {
+    // Nothing armed, so nothing can fire or cascade: jump straight to the
+    // target instead of walking every empty tick up to it. Slots can only
+    // hold lazily cancelled entries now, whose windows the jump skips.
+    if (current_tick_ < target_tick) {
+      for (auto& level : levels_)
+        for (Slot& slot : level) slot.clear();
+      current_tick_ = target_tick;
+    }
+    return fired;
+  }
 
   const auto drain_slot = [&](Slot& slot_entries, bool partial) {
     if (slot_entries.empty()) return;

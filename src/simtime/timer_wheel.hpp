@@ -63,7 +63,8 @@ class TimerWheel {
   bool cancel(TimerId id);
 
   /// Moves the wheel to `now` and returns every live timer with
-  /// deadline <= now, ordered by (deadline, arm sequence).
+  /// deadline <= now, ordered by (deadline, arm sequence). O(1) when
+  /// nothing is armed, however far `now` lies ahead.
   std::vector<Expiry> advance(Duration now);
 
   /// Earliest live deadline, or nullopt when nothing is armed. Exact (the

@@ -69,41 +69,32 @@ TEST(BenchFlags, EveryFlagLandsInFlagsAndOptions) {
   EXPECT_EQ(options.shard_count, 1u);
 }
 
-TEST(BenchFlags, EngineSelectionLandsInFlagsAndOptions) {
-  Argv argv({"bench", "--engine", "async", "--max-inflight", "256"});
+TEST(BenchFlags, MaxInflightLandsInFlagsAndOptions) {
+  Argv argv({"bench", "--max-inflight", "256"});
   const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
-  EXPECT_EQ(flags.engine, scanner::Engine::kAsync);
   EXPECT_EQ(flags.max_inflight, 256u);
 
   scanner::ParallelOptions options;
   flags.apply(options);
-  EXPECT_EQ(options.engine, scanner::Engine::kAsync);
   EXPECT_EQ(options.max_inflight, 256u);
 
-  // Workers inherit the engine choice (it applies per worker process).
+  // Workers inherit the window (it applies per worker process).
   EXPECT_EQ(flags.worker_args,
-            (std::vector<std::string>{"--engine", "async", "--max-inflight",
-                                      "256"}));
+            (std::vector<std::string>{"--max-inflight", "256"}));
 
-  // Default stays the historical blocking engine; garbage is rejected.
-  Argv argv2({"bench", "--engine", "turbo"});
-  const BenchFlags defaults = parse_flags(argv2.argc(), argv2.argv());
-  EXPECT_EQ(defaults.engine, scanner::Engine::kBlocking);
-  EXPECT_EQ(defaults.max_inflight, 1024u);
+  Argv argv2({"bench"});
+  EXPECT_EQ(parse_flags(argv2.argc(), argv2.argv()).max_inflight, 1024u);
 }
 
-TEST(BenchEnv, EngineAndInflightComeFromEnvironment) {
-  EnvVar engine("ZH_ENGINE", "async");
+TEST(BenchEnv, MaxInflightComesFromEnvironment) {
   EnvVar inflight("ZH_MAX_INFLIGHT", "64");
   Argv argv({"bench"});
   const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
-  EXPECT_EQ(flags.engine, scanner::Engine::kAsync);
   EXPECT_EQ(flags.max_inflight, 64u);
 
   // The command line overrides the environment.
-  Argv argv2({"bench", "--engine=blocking", "--max-inflight=8"});
+  Argv argv2({"bench", "--max-inflight=8"});
   const BenchFlags overridden = parse_flags(argv2.argc(), argv2.argv());
-  EXPECT_EQ(overridden.engine, scanner::Engine::kBlocking);
   EXPECT_EQ(overridden.max_inflight, 8u);
 }
 

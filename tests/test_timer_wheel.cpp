@@ -161,14 +161,18 @@ class ReferenceScheduler {
   std::map<std::pair<std::int64_t, TimerId>, std::uint64_t> timers_;
 };
 
-TEST(TimerWheel, OracleAgainstSortedMultimapUnder10kRandomOps) {
+/// 10k random arm/cancel/advance operations from `epoch`. With `leaps`, an
+/// advance now and then moves past every armed deadline (all delays stay
+/// under 272 s), and one that finds the wheel empty leaps hours.
+void run_oracle(Duration epoch, bool leaps) {
   TimerWheel wheel(Duration::from_ms(1));
   ReferenceScheduler reference;
   // Deterministic splitmix64 stream — no platform-dependent RNG.
   std::uint64_t state = 0x5eed;
   const auto rng = [&state] { return mix64(state++); };
 
-  Duration now;
+  Duration now = epoch;
+  EXPECT_TRUE(wheel.advance(now).empty());
   std::vector<TimerId> live;  // both schedulers assign identical ids
   for (int op = 0; op < 10000; ++op) {
     const std::uint64_t roll = rng() % 100;
@@ -190,6 +194,11 @@ TEST(TimerWheel, OracleAgainstSortedMultimapUnder10kRandomOps) {
     } else {
       now += Duration::from_ns(
           static_cast<std::int64_t>(rng() % 5'000'000'000ull));
+      if (leaps && wheel.empty())
+        now += Duration::from_seconds(
+            3600 * static_cast<std::int64_t>(1 + rng() % 6));
+      else if (leaps && rng() % 40 == 0)
+        now += Duration::from_seconds(300);
       const auto fired = wheel.advance(now);
       const auto expected = reference.advance(now);
       ASSERT_EQ(fired.size(), expected.size()) << "op " << op;
@@ -211,6 +220,15 @@ TEST(TimerWheel, OracleAgainstSortedMultimapUnder10kRandomOps) {
   for (std::size_t i = 0; i < fired.size(); ++i)
     EXPECT_EQ(fired[i].id, expected[i].id) << "#" << i;
   EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimerWheel, OracleAgainstSortedMultimapUnder10kRandomOps) {
+  run_oracle(Duration{}, /*leaps=*/false);
+  // A wheel built long after time zero, at an instant off the tick grid,
+  // whose clock leaps hours while nothing is armed.
+  run_oracle(
+      Duration::from_seconds(3 * 86400) + Duration::from_ns(123'456'789),
+      /*leaps=*/true);
 }
 
 }  // namespace
