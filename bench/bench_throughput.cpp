@@ -1,7 +1,7 @@
 // Scan-engine throughput: how far overlapping waits carry, one core.
 //
 // The engine's claim is ZDNS-shaped: one worker thread multiplexing
-// thousands of per-query state machines over a timer wheel sustains a far
+// thousands of per-query state machines over a wake-up heap sustains a far
 // higher *simulated* scan rate than the serial schedule (a window of one),
 // where every wait — RTTs under the latency model, retransmission timeouts
 // — serializes behind every other item's. Every window produces
@@ -12,7 +12,7 @@
 //     second, from admission to the last settlement. This is the ZDNS
 //     number; wide windows win by overlapping items' waits.
 //   * wall throughput — domains per host-CPU second, which pins the
-//     engine's bookkeeping overhead (wheel, state machines, flow resumes).
+//     engine's bookkeeping overhead (heap, state machines, flow resumes).
 //
 // Emits BENCH_throughput.json (CI uploads it as an artifact) with one row
 // per max-inflight cell, plus the headline speedup: max-inflight 1024 must

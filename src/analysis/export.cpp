@@ -19,27 +19,6 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ecdf_to_csv(const Ecdf& ecdf, const std::string& value_header) {
@@ -88,21 +67,6 @@ std::string Table::to_csv() const {
     }
     out += '\n';
   }
-  return out;
-}
-
-std::string Table::to_json() const {
-  std::string out = "[";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out += r ? ",\n {" : "\n {";
-    for (std::size_t i = 0; i < columns_.size(); ++i) {
-      if (i) out += ", ";
-      out += "\"" + json_escape(columns_[i]) + "\": \"" +
-             json_escape(rows_[r][i]) + "\"";
-    }
-    out += "}";
-  }
-  out += "\n]\n";
   return out;
 }
 

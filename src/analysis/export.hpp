@@ -1,7 +1,7 @@
-// Result export: CSV and JSON writers for the campaign outputs, so the
-// regenerated figures can be re-plotted outside this repository (gnuplot,
-// matplotlib, R). Benches honour ZH_OUTPUT_DIR to drop these next to the
-// console reports.
+// Result export: CSV writers for the campaign outputs, so the regenerated
+// figures can be re-plotted outside this repository (gnuplot, matplotlib,
+// R). Benches honour ZH_OUTPUT_DIR to drop these next to the console
+// reports.
 #pragma once
 
 #include <map>
@@ -21,7 +21,7 @@ std::string ecdf_to_csv(const Ecdf& ecdf,
 std::string freq_to_csv(const FreqTable& table,
                         const std::string& key_header = "key");
 
-/// A generic columnar table serialisable to CSV and JSON.
+/// A generic columnar table serialisable to CSV.
 class Table {
  public:
   explicit Table(std::vector<std::string> columns)
@@ -37,9 +37,6 @@ class Table {
 
   /// RFC 4180-ish CSV (quotes cells containing commas/quotes/newlines).
   std::string to_csv() const;
-
-  /// JSON array of objects keyed by the column names (values as strings).
-  std::string to_json() const;
 
  private:
   std::vector<std::string> columns_;

@@ -11,26 +11,10 @@ constexpr char kBase32HexDigits[] = "0123456789abcdefghijklmnopqrstuv";
 constexpr char kBase64Digits[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-int hex_value(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
 int base32hex_value(char c) noexcept {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'v') return c - 'a' + 10;
   if (c >= 'A' && c <= 'V') return c - 'A' + 10;
-  return -1;
-}
-
-int base64_value(char c) noexcept {
-  if (c >= 'A' && c <= 'Z') return c - 'A';
-  if (c >= 'a' && c <= 'z') return c - 'a' + 26;
-  if (c >= '0' && c <= '9') return c - '0' + 52;
-  if (c == '+') return 62;
-  if (c == '/') return 63;
   return -1;
 }
 
@@ -42,19 +26,6 @@ std::string base16_encode(std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
     out.push_back(kHexDigits[b >> 4]);
     out.push_back(kHexDigits[b & 0x0f]);
-  }
-  return out;
-}
-
-std::optional<std::vector<std::uint8_t>> base16_decode(std::string_view text) {
-  if (text.size() % 2 != 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  out.reserve(text.size() / 2);
-  for (std::size_t i = 0; i < text.size(); i += 2) {
-    const int hi = hex_value(text[i]);
-    const int lo = hex_value(text[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
   }
   return out;
 }
@@ -130,27 +101,6 @@ std::string base64_encode(std::span<const std::uint8_t> data) {
     out.push_back(kBase64Digits[(v >> 6) & 0x3f]);
     out.push_back('=');
   }
-  return out;
-}
-
-std::optional<std::vector<std::uint8_t>> base64_decode(std::string_view text) {
-  while (!text.empty() && text.back() == '=') text.remove_suffix(1);
-
-  std::vector<std::uint8_t> out;
-  out.reserve(text.size() * 3 / 4);
-  std::uint32_t bits = 0;
-  int nbits = 0;
-  for (const char c : text) {
-    const int v = base64_value(c);
-    if (v < 0) return std::nullopt;
-    bits = (bits << 6) | static_cast<std::uint32_t>(v);
-    nbits += 6;
-    if (nbits >= 8) {
-      nbits -= 8;
-      out.push_back(static_cast<std::uint8_t>((bits >> nbits) & 0xff));
-    }
-  }
-  if (nbits > 0 && (bits & ((1u << nbits) - 1)) != 0) return std::nullopt;
   return out;
 }
 

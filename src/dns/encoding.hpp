@@ -15,8 +15,6 @@
 namespace zh::dns {
 
 std::string base16_encode(std::span<const std::uint8_t> data);
-/// Accepts upper- or lowercase hex; returns nullopt on bad length/characters.
-std::optional<std::vector<std::uint8_t>> base16_decode(std::string_view text);
 
 /// Extended-hex base32, lowercase, unpadded — the NSEC3 owner-label form.
 std::string base32hex_encode(std::span<const std::uint8_t> data);
@@ -25,6 +23,5 @@ std::optional<std::vector<std::uint8_t>> base32hex_decode(
     std::string_view text);
 
 std::string base64_encode(std::span<const std::uint8_t> data);
-std::optional<std::vector<std::uint8_t>> base64_decode(std::string_view text);
 
 }  // namespace zh::dns

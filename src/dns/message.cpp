@@ -1,6 +1,5 @@
 #include "dns/message.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "dns/io.hpp"
@@ -453,20 +452,6 @@ Message Message::make_response(const Message& query) {
     msg.edns = edns;
   }
   return msg;
-}
-
-std::vector<ResourceRecord> Message::answers_of_type(RrType type) const {
-  std::vector<ResourceRecord> out;
-  std::copy_if(answers.begin(), answers.end(), std::back_inserter(out),
-               [type](const ResourceRecord& rr) { return rr.type == type; });
-  return out;
-}
-
-std::vector<ResourceRecord> Message::authorities_of_type(RrType type) const {
-  std::vector<ResourceRecord> out;
-  std::copy_if(authorities.begin(), authorities.end(), std::back_inserter(out),
-               [type](const ResourceRecord& rr) { return rr.type == type; });
-  return out;
 }
 
 std::string Message::summary() const {

@@ -91,8 +91,7 @@ const char* to_string(WireErrc errc);
 struct DecodeResult;  // defined after Message (holds one)
 
 /// Lazily-filtered, non-copying walk over one section's records of a given
-/// type. Replaces the deep-copying answers_of_type/authorities_of_type on
-/// hot paths: empty()/front()/iteration touch only the section in place.
+/// type: empty()/front()/iteration touch only the section in place.
 /// Valid while the owning Message is alive and the section unmodified.
 class TypedRecordRange {
  public:
@@ -196,13 +195,6 @@ struct Message {
   const Question* question() const {
     return questions.empty() ? nullptr : &questions.front();
   }
-
-  /// All answer-section records of the given type (deep copies; prefer
-  /// answers_with() on hot paths).
-  std::vector<ResourceRecord> answers_of_type(RrType type) const;
-  /// All authority-section records of the given type (deep copies; prefer
-  /// authorities_with() on hot paths).
-  std::vector<ResourceRecord> authorities_of_type(RrType type) const;
 
   /// Non-copying filtered walk over the answer section.
   TypedRecordRange answers_with(RrType type) const {

@@ -98,13 +98,6 @@ bool Name::is_subdomain_of(const Name& ancestor) const noexcept {
   return true;
 }
 
-Name Name::parent() const {
-  Name p;
-  if (labels_.size() > 1)
-    p.labels_.assign(labels_.begin() + 1, labels_.end());
-  return p;
-}
-
 Name Name::ancestor_with_labels(std::size_t label_count) const {
   Name p;
   if (label_count >= labels_.size()) return *this;
@@ -118,12 +111,6 @@ std::optional<Name> Name::prepended(std::string_view label) const {
   labels.reserve(labels_.size() + 1);
   labels.emplace_back(label);
   labels.insert(labels.end(), labels_.begin(), labels_.end());
-  return from_labels(std::move(labels));
-}
-
-std::optional<Name> Name::appended(const Name& suffix) const {
-  std::vector<std::string> labels = labels_;
-  labels.insert(labels.end(), suffix.labels_.begin(), suffix.labels_.end());
   return from_labels(std::move(labels));
 }
 

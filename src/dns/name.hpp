@@ -56,19 +56,12 @@ class Name {
   /// True if this name is `ancestor` or a descendant of it.
   bool is_subdomain_of(const Name& ancestor) const noexcept;
 
-  /// Immediate parent; root's parent is root.
-  Name parent() const;
-
   /// Strips `suffix_labels` labels from the right; returns root if asked to
   /// strip everything.
   Name ancestor_with_labels(std::size_t label_count) const;
 
   /// <child-label>.<this>; returns nullopt if invariants would break.
   std::optional<Name> prepended(std::string_view label) const;
-
-  /// this + suffix concatenation (this must be relative-ish usage:
-  /// result = labels(this) then labels(suffix)).
-  std::optional<Name> appended(const Name& suffix) const;
 
   /// True if the leftmost label is "*".
   bool is_wildcard() const noexcept {

@@ -253,8 +253,6 @@ AggressiveNegCache::Synthesis AggressiveNegCache::lookup(const dns::Name& qname,
   return result;
 }
 
-FailureCache::FailureCache() : FailureCache(Config{}) {}
-
 FailureCache::FailureCache(Config config) : config_(config) {
   // RFC 9520 §3.2: cache for at least 1 second, at most 5 minutes.
   const simtime::Duration floor = simtime::Duration::from_seconds(1);

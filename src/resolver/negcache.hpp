@@ -155,7 +155,6 @@ class FailureCache {
     std::size_t capacity = 1024;
   };
 
-  FailureCache();
   explicit FailureCache(Config config);
 
   /// Records a resolution failure for `key` observed at `now`. Repeated

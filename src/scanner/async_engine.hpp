@@ -1,14 +1,15 @@
 // ZDNS-class async scan engine: per-query state machines over a simtime
-// timer wheel. It drives every scan and probe; a single one is a one-item run.
+// wake-up heap. It drives every scan and probe; a single one is a one-item
+// run.
 //
 // A serial loop interleaves nothing — each scan's waits (lost-packet
 // timeouts, RTTs under a latency model) serialize behind every other
 // scan's. This engine multiplexes thousands of resolutions over ONE worker
 // thread: each item is a resumable task whose logical queries run as an
 // explicit state machine (send → await-response → retry/backoff → validate
-// → done/timeout); whenever a task must wait, it parks on the hierarchical
-// timer wheel (simtime/timer_wheel.hpp) and the engine resumes whichever
-// task's deadline comes first.
+// → done/timeout); whenever a task must wait, it parks on the wake-up heap
+// (simtime/timer_queue.hpp) and the engine resumes whichever task's
+// deadline comes first, ties in the order the tasks parked.
 //
 // Determinism, with the window size and worker count unobservable, rests
 // on three properties the simulation already guarantees:
@@ -40,7 +41,7 @@
 #include "scanner/scan_flow.hpp"
 #include "simnet/network.hpp"
 #include "simtime/simtime.hpp"
-#include "simtime/timer_wheel.hpp"
+#include "simtime/timer_queue.hpp"
 #include "trace/trace.hpp"
 
 namespace zh::scanner {
@@ -50,9 +51,6 @@ struct AsyncOptions {
   std::size_t max_inflight = 1024;
   /// Client retransmission policy (zdns defaults).
   simtime::RetryPolicy retry{};
-  /// Timer-wheel tick granularity. Expiries fire at exact deadlines; the
-  /// tick only bounds per-advance bucketing work.
-  simtime::Duration wheel_tick = simtime::Duration::from_ms(1);
 };
 
 /// Per-item aggregates the engine accrues across resumes — the item's own
@@ -154,10 +152,7 @@ class AsyncEngine {
 
   AsyncEngine(simnet::Network& network, simnet::IpAddress source,
               AsyncOptions options)
-      : network_(network),
-        source_(std::move(source)),
-        options_(options),
-        wheel_(options.wheel_tick) {}
+      : network_(network), source_(std::move(source)), options_(options) {}
 
   /// Runs `count` items: `make` supplies item `position` when a window slot
   /// frees up; `on_complete` fires in (deterministic) completion order.
@@ -165,8 +160,7 @@ class AsyncEngine {
   simtime::Duration run(std::size_t count, const MakeItem& make,
                         const OnComplete& on_complete) {
     const simtime::Duration epoch = network_.clock().now();
-    wheel_ = simtime::TimerWheel(options_.wheel_tick);
-    wheel_.advance(epoch);  // align with the clock: a jump, nothing is armed
+    wakeups_ = simtime::TimerQueue{};
     tasks_.clear();
     free_slots_.clear();
     next_position_ = 0;
@@ -176,12 +170,12 @@ class AsyncEngine {
     const std::size_t window = std::max<std::size_t>(1, options_.max_inflight);
     while (next_position_ < count && tasks_.size() < window)
       admit(make, epoch);
-    // Every parked task holds exactly one armed timer and every admission
-    // arms one, so the wheel runs dry exactly when all items settled.
-    while (!wheel_.empty()) {
-      const simtime::Duration deadline = *wheel_.next_deadline();
-      for (const auto& expiry : wheel_.advance(deadline))
-        resume(expiry.payload, expiry.deadline, make, on_complete);
+    // Every parked task holds exactly one wake-up and every admission pushes
+    // one, so the heap runs dry exactly when all items settled.
+    while (!wakeups_.empty()) {
+      const simtime::TimerQueue::Entry next = wakeups_.top();
+      wakeups_.pop();
+      resume(next.payload, next.deadline, make, on_complete);
     }
     network_.clock().set(latest_);
     return latest_ - epoch;
@@ -209,9 +203,9 @@ class AsyncEngine {
     Item item = make(next_position_);
     // Reuse a settled task's slot (and its Task allocation and query-message
     // buffers) when one is free: the task table stays O(window), not
-    // O(items admitted). Slot reuse cannot reorder anything — wheel expiries
-    // are ordered by (deadline, arm sequence) and the payload never
-    // participates, and a slot is only freed after its last timer fired.
+    // O(items admitted). Slot reuse cannot reorder anything — wake-ups pop
+    // by (deadline, push sequence) and the payload never participates, and
+    // a slot is only freed after its last wake-up popped.
     std::size_t slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -231,9 +225,9 @@ class AsyncEngine {
     task.started = at;
     task.finish_time = simtime::Duration{};
     task.totals = TaskTotals{};
-    // The first resume goes through the wheel too, so admissions interleave
+    // The first resume goes through the heap too, so admissions interleave
     // deterministically with same-instant completions.
-    wheel_.arm(at, slot);
+    wakeups_.push(at, slot);
   }
 
   void resume(std::uint64_t slot, simtime::Duration at, const MakeItem& make,
@@ -267,7 +261,7 @@ class AsyncEngine {
   }
 
   /// Runs the task inline from `at` until its current logical query parks
-  /// on the wheel or the flow settles.
+  /// on the heap or the flow settles.
   void step(Task& task, simtime::Duration at) {
     simtime::Duration now = at;
     for (;;) {
@@ -285,7 +279,7 @@ class AsyncEngine {
           task.query.drive(network_, source_, task.destination,
                            options_.retry, next_id_, task.totals.queries, now);
       if (s.waiting) {
-        wheel_.arm(s.wake_at, task.slot);
+        wakeups_.push(s.wake_at, task.slot);
         return;
       }
       now = s.wake_at;  // the instant the logical query settled
@@ -299,7 +293,7 @@ class AsyncEngine {
   simnet::Network& network_;
   simnet::IpAddress source_;
   AsyncOptions options_;
-  simtime::TimerWheel wheel_;
+  simtime::TimerQueue wakeups_;
   std::vector<std::unique_ptr<Task>> tasks_;  // slot-indexed, stable ids
   std::vector<std::size_t> free_slots_;       // settled slots ready for reuse
   std::size_t next_position_ = 0;

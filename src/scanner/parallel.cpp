@@ -74,15 +74,6 @@ void run_sharded(unsigned jobs,
 
 }  // namespace
 
-std::uint64_t shard_seed(std::uint64_t base_seed, std::uint32_t shard_id) {
-  // splitmix64 over the combined value — the same mixer the workload
-  // generator uses for (seed, index) attribute streams.
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ull * (shard_id + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 unsigned default_jobs() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
@@ -121,9 +112,9 @@ ParallelCampaignResult run_domain_campaign_parallel(
   run_sharded(jobs, [&](unsigned shard) {
     ShardOutcome& out = outcomes[shard];
     ShardWorld world = factory(shard, jobs);
-    // One shared seed, not shard_seed: loss and jitter draws are keyed on
-    // (seed, link, flow, sequence), and flows are item-local, so the same
-    // item sees the same fate in every sharding.
+    // One shared seed, not one per worker: loss and jitter draws are keyed
+    // on (seed, link, flow, sequence), and flows are item-local, so the
+    // same item sees the same fate in every sharding.
     if (options.loss_probability > 0.0) {
       world.internet->network().set_loss(options.loss_probability,
                                          options.base_seed);

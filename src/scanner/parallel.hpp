@@ -45,10 +45,6 @@
 
 namespace zh::scanner {
 
-/// Per-worker seed, derived splitmix64-style so that neighbouring shard ids
-/// yield statistically independent streams.
-std::uint64_t shard_seed(std::uint64_t base_seed, std::uint32_t shard_id);
-
 /// `std::thread::hardware_concurrency()`, floored at 1.
 unsigned default_jobs();
 
@@ -76,7 +72,7 @@ ShardWorldFactory default_world_factory(
     resolver::ResolverProfile scan_profile =
         resolver::ResolverProfile::cloudflare());
 
-/// The scan engine: per-query state machines over a timer wheel, up to
+/// The scan engine: per-query state machines over a wake-up heap, up to
 /// max_inflight resolutions per worker (scanner/async_engine.hpp).
 enum class Engine {
   kAsync,
@@ -101,7 +97,8 @@ struct ParallelOptions {
   /// Forwarded to DomainCampaign::run_shard.
   std::size_t limit = static_cast<std::size_t>(-1);
   std::size_t stride = 1;
-  /// Base seed for per-worker derived seeds (loss RNG).
+  /// Seed of the loss draws. Every worker uses this one seed: draws are
+  /// flow-keyed, so an item meets the same fate in every sharding.
   std::uint64_t base_seed = 42;
   /// Seed for resolver-population instantiation: deliberately *not* shard-
   /// derived, so every worker instantiates the identical population.

@@ -2,8 +2,8 @@
 // pipelines as explicit state machines over *logical queries*.
 //
 // The async engine (scanner/async_engine.hpp) drives every flow: it parks a
-// flow whenever its logical query waits on the network and resumes it from
-// a timer-wheel expiry, which is how one worker thread keeps thousands of
+// flow whenever its logical query waits on the network and resumes it when
+// its wake-up pops, which is how one worker thread keeps thousands of
 // scans in flight — and a single scan is the same machinery with one item.
 // Classification logic exists once, here; the engine only decides when each
 // flow's next query runs.

@@ -3,23 +3,6 @@
 namespace zh::simtime {
 namespace {
 
-/// True when `address` lies under `prefix`/`bits` (same family).
-bool prefix_matches(const simnet::IpAddress& address,
-                    const simnet::IpAddress& prefix, unsigned bits) {
-  if (address.is_v6() != prefix.is_v6()) return false;
-  const unsigned max_bits = address.is_v6() ? 128 : 32;
-  if (bits > max_bits) bits = max_bits;
-  const auto& a = address.raw();
-  const auto& p = prefix.raw();
-  const unsigned whole = bits / 8;
-  for (unsigned i = 0; i < whole; ++i)
-    if (a[i] != p[i]) return false;
-  const unsigned rest = bits % 8;
-  if (rest == 0) return true;
-  const std::uint8_t mask = static_cast<std::uint8_t>(0xff << (8 - rest));
-  return (a[whole] & mask) == (p[whole] & mask);
-}
-
 /// Stable 64-bit digest of the link's *server* endpoint. Deliberately not
 /// keyed on the client: sharded campaigns give every worker a distinct
 /// source address (scanner::shard_source), and folding it in would make
@@ -34,37 +17,18 @@ std::uint64_t link_key(const simnet::IpAddress& to) {
 
 }  // namespace
 
-void LatencyModel::add_rule(const simnet::IpAddress& prefix,
-                            unsigned prefix_bits, Duration base_rtt,
-                            Duration jitter) {
-  rules_.push_back(Rule{prefix, prefix_bits, base_rtt, jitter});
-}
-
 Duration LatencyModel::sample(const simnet::IpAddress& /*from*/,
                               const simnet::IpAddress& to, std::uint64_t flow,
                               std::uint64_t seq) const {
-  Duration base = base_;
-  Duration jitter = jitter_;
-  unsigned best_bits = 0;
-  bool overridden = false;
-  for (const Rule& rule : rules_) {
-    if (!prefix_matches(to, rule.prefix, rule.bits)) continue;
-    if (!overridden || rule.bits >= best_bits) {
-      base = rule.base;
-      jitter = rule.jitter;
-      best_bits = rule.bits;
-      overridden = true;
-    }
-  }
-  if (jitter.nanos() <= 0) return base;
+  if (jitter_.nanos() <= 0) return base_;
   // One splitmix draw keyed on (seed, destination, flow, seq): no sequential
   // RNG state, so the sample for a given transmission does not depend on
   // what other flows did before it — or on who sent it (see link_key).
   const std::uint64_t bits =
       mix64(seed_ + mix64(link_key(to) + mix64(flow + mix64(seq))));
   const auto spread = static_cast<std::int64_t>(
-      unit_double(bits) * static_cast<double>(jitter.nanos() + 1));
-  return base + Duration::from_ns(spread);
+      unit_double(bits) * static_cast<double>(jitter_.nanos() + 1));
+  return base_ + Duration::from_ns(spread);
 }
 
 }  // namespace zh::simtime

@@ -1,14 +1,12 @@
-// Seeded per-link latency model: base RTT + uniform jitter, with optional
-// per-address / per-prefix overrides (longest prefix on the destination
-// wins). Samples are a pure function of (seed, destination, flow, sequence)
-// — the shard_seed-style splitmix idiom — so identical configurations
+// Seeded per-link latency model: base RTT + uniform jitter. Samples are a
+// pure function of (seed, destination, flow, sequence) — one splitmix draw
+// (simtime::mix64) — so identical configurations
 // replay bit-identically and, because flow/sequence are item-local rather
 // than scan-order-local (and the client address is deliberately not part of
 // the key), samples are invariant under campaign sharding.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "simnet/address.hpp"
 #include "simtime/simtime.hpp"
@@ -23,19 +21,8 @@ class LatencyModel {
   LatencyModel(Duration base_rtt, Duration jitter, std::uint64_t seed)
       : base_(base_rtt), jitter_(jitter), seed_(seed) {}
 
-  /// Overrides the default for destinations under `prefix`/`prefix_bits`.
-  /// More-specific rules win; among equal lengths the last added wins.
-  void add_rule(const simnet::IpAddress& prefix, unsigned prefix_bits,
-                Duration base_rtt, Duration jitter);
-
-  /// Convenience: a host route (/32 or /128) for one destination address.
-  void add_address(const simnet::IpAddress& address, Duration base_rtt,
-                   Duration jitter) {
-    add_rule(address, address.is_v6() ? 128u : 32u, base_rtt, jitter);
-  }
-
   bool active() const noexcept {
-    return base_.nanos() > 0 || jitter_.nanos() > 0 || !rules_.empty();
+    return base_.nanos() > 0 || jitter_.nanos() > 0;
   }
 
   /// RTT for the `seq`-th transmission of `flow` towards `to`. `from` is
@@ -45,17 +32,9 @@ class LatencyModel {
                   std::uint64_t flow, std::uint64_t seq) const;
 
  private:
-  struct Rule {
-    simnet::IpAddress prefix;
-    unsigned bits = 0;
-    Duration base;
-    Duration jitter;
-  };
-
   Duration base_;
   Duration jitter_;
   std::uint64_t seed_ = 0;
-  std::vector<Rule> rules_;
 };
 
 }  // namespace zh::simtime

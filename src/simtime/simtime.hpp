@@ -22,8 +22,8 @@
 
 namespace zh::simtime {
 
-/// splitmix64 output function — the same mixer the workload generator and
-/// shard_seed use, so every derived stream in the system shares one idiom.
+/// splitmix64 output function — the same mixer the workload generator uses,
+/// so every derived stream in the system shares one idiom.
 inline constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
   z += 0x9e3779b97f4a7c15ull;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;

@@ -113,14 +113,6 @@ std::vector<std::pair<std::string, std::uint64_t>> Collector::metrics() const {
   return {merged.begin(), merged.end()};
 }
 
-StageTotals Collector::stage_totals() const {
-  StageTotals totals{};
-  for (const auto& [shard, trace] : shards_)
-    for (std::size_t i = 0; i < kStageCount; ++i)
-      totals[i] += trace.stage_ns[i];
-  return totals;
-}
-
 std::string Collector::to_jsonl() const {
   std::string out;
   for (const auto& [shard, trace] : shards_) {

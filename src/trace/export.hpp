@@ -50,8 +50,6 @@ class Collector {
   std::uint64_t metric(std::string_view name) const;
   /// All counters summed across shards, sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> metrics() const;
-  /// Summed per-stage virtual-time totals across shards.
-  StageTotals stage_totals() const;
 
   std::string to_jsonl() const;
   std::string to_chrome() const;

@@ -32,10 +32,6 @@ std::vector<std::pair<std::string, std::uint64_t>> Metrics::snapshot() const {
   return out;  // std::map iteration order — already sorted by name
 }
 
-void Metrics::merge(const Metrics& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-}
-
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     close();
@@ -143,16 +139,6 @@ ShardTrace Tracer::take() const {
   for (std::size_t i = 0; i < ring_.size(); ++i)
     out.events.push_back(ring_[(next_ + i) % ring_.size()]);
   return out;
-}
-
-void Tracer::clear() {
-  ring_.clear();
-  next_ = 0;
-  emitted_ = 0;
-  open_depth_ = 0;
-  flow_ = 0;
-  metrics_.clear();
-  stage_ns_ = StageTotals{};
 }
 
 }  // namespace zh::trace

@@ -120,9 +120,6 @@ class Metrics {
   /// Sorted (name, value) pairs — the deterministic export order.
   std::vector<std::pair<std::string, std::uint64_t>> snapshot() const;
 
-  void merge(const Metrics& other);
-  void clear() { counters_.clear(); }
-
  private:
   std::map<std::string, std::uint64_t> counters_;
 };
@@ -251,9 +248,6 @@ class Tracer {
 
   /// Copies out this shard's trace (events unrolled oldest → newest).
   ShardTrace take() const;
-
-  /// Drops buffered events, counters and stage totals (keeps the config).
-  void clear();
 
  private:
   friend class Span;

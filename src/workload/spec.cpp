@@ -49,8 +49,6 @@ constexpr std::size_t kSaltTailAt160 = 9;
 
 }  // namespace
 
-EcosystemSpec::EcosystemSpec() : EcosystemSpec(Options{}) {}
-
 EcosystemSpec::EcosystemSpec(Options options) : options_(options) {
   build_operators();
   build_tlds();

@@ -92,7 +92,6 @@ class EcosystemSpec {
     Snapshot snapshot = Snapshot::kMarch2024;
   };
 
-  EcosystemSpec();  // default Options
   explicit EcosystemSpec(Options options);
 
   const Options& options() const noexcept { return options_; }

@@ -100,8 +100,7 @@ std::string Zone::to_text() const {
       }
     }
   }
-  // The NSEC3 chain lives outside the name tree; dump it too so a zone
-  // round-trips through parse_zone_text completely.
+  // The NSEC3 chain lives outside the name tree; dump it too.
   for (const auto& entry : nsec3_chain_) {
     out += entry.to_record().to_string();
     out += '\n';
@@ -152,14 +151,6 @@ const Nsec3ChainEntry* Zone::nsec3_covering(
   const std::span<const std::uint8_t> next(candidate->rdata.next_hash.data(),
                                            candidate->rdata.next_hash.size());
   return dns::nsec3_covers(owner, next, hash) ? candidate : nullptr;
-}
-
-const dns::Name* Zone::nsec_predecessor(const dns::Name& name) const {
-  if (nodes_.empty()) return nullptr;
-  auto it = nodes_.upper_bound(name);
-  if (it == nodes_.begin()) return &nodes_.rbegin()->first;  // wrap
-  --it;
-  return &it->first;
 }
 
 }  // namespace zh::zone

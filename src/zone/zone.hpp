@@ -146,12 +146,6 @@ class Zone {
   const Nsec3ChainEntry* nsec3_covering(
       std::span<const std::uint8_t> hash) const;
 
-  // --- NSEC chain support ---
-
-  /// The existing name that sorts immediately at-or-before `name` in
-  /// canonical order (for NSEC covering proofs); the chain wraps.
-  const dns::Name* nsec_predecessor(const dns::Name& name) const;
-
  private:
   dns::Name apex_;
   std::map<dns::Name, ZoneNode, dns::NameCanonicalLess> nodes_;

@@ -179,9 +179,9 @@ TEST(AsyncEngineEquivalence, WindowSizeIsUnobservable) {
 }
 
 // With loss, jitter and service cost all moving the clock, thousands of
-// concurrent per-query timelines interleave on the wheel — and the latency
-// ECDFs, timeout counts and retransmission totals must still match the
-// serial schedule byte-for-byte.
+// concurrent per-query timelines interleave on the wake-up heap — and the
+// latency ECDFs, timeout counts and retransmission totals must still match
+// the serial schedule byte-for-byte.
 TEST(AsyncEngineEquivalence, TimeShapedCampaignBytesMatch) {
   const workload::EcosystemSpec spec({.scale = 0.00002, .seed = 42});
   ParallelOptions options = time_shaped_options(1);

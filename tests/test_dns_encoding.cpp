@@ -1,7 +1,10 @@
 // Unit + property tests for base16 / base32hex / base64 codecs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "dns/encoding.hpp"
@@ -19,14 +22,6 @@ TEST(Base16, Encode) {
   EXPECT_EQ(base16_encode(bytes({0xaa, 0xbb, 0xcc, 0xdd})), "aabbccdd");
   EXPECT_EQ(base16_encode({}), "");
 }
-
-TEST(Base16, DecodeBothCases) {
-  EXPECT_EQ(base16_decode("AABBccdd"), bytes({0xaa, 0xbb, 0xcc, 0xdd}));
-}
-
-TEST(Base16, DecodeRejectsOddLength) { EXPECT_FALSE(base16_decode("abc")); }
-
-TEST(Base16, DecodeRejectsNonHex) { EXPECT_FALSE(base16_decode("zz")); }
 
 // RFC 4648 §10 base32hex vectors (lowercased, unpadded, as NSEC3 uses them).
 TEST(Base32Hex, Rfc4648Vectors) {
@@ -82,10 +77,6 @@ TEST(Base64, Rfc4648Vectors) {
   EXPECT_EQ(base64_encode(std::span<const std::uint8_t>(foobar)), "Zm9vYmFy");
 }
 
-TEST(Base64, DecodeRejectsBadCharacters) {
-  EXPECT_FALSE(base64_decode("Zm9v!a=="));
-}
-
 class CodecRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CodecRoundTrip, AllThreeCodecs) {
@@ -94,9 +85,21 @@ TEST_P(CodecRoundTrip, AllThreeCodecs) {
   for (auto& b : data) b = static_cast<std::uint8_t>(rng());
 
   const std::span<const std::uint8_t> span(data);
-  EXPECT_EQ(base16_decode(base16_encode(span)), data);
   EXPECT_EQ(base32hex_decode(base32hex_encode(span)), data);
-  EXPECT_EQ(base64_decode(base64_encode(span)), data);
+  // base16 and base64 are encode-only: check them against a byte-by-byte
+  // hex reference and against the concatenation of 3-byte groups.
+  std::string hex;
+  std::string groups;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    char buf[3];
+    std::snprintf(buf, sizeof buf, "%02x", data[i]);
+    hex += buf;
+    if (i % 3 == 0)
+      groups += base64_encode(span.subspan(i, std::min<std::size_t>(
+                                                  3, data.size() - i)));
+  }
+  EXPECT_EQ(base16_encode(span), hex);
+  EXPECT_EQ(base64_encode(span), groups);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, CodecRoundTrip,

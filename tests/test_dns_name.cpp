@@ -70,14 +70,6 @@ TEST(Name, SubdomainChecks) {
   EXPECT_TRUE(zone.is_subdomain_of(Name::root()));
 }
 
-TEST(Name, Parent) {
-  const auto name = Name::must_parse("a.b.c");
-  EXPECT_EQ(name.parent().to_string(), "b.c.");
-  EXPECT_EQ(name.parent().parent().to_string(), "c.");
-  EXPECT_TRUE(name.parent().parent().parent().is_root());
-  EXPECT_TRUE(Name::root().parent().is_root());
-}
-
 TEST(Name, AncestorWithLabels) {
   const auto name = Name::must_parse("a.b.c.d");
   EXPECT_EQ(name.ancestor_with_labels(2).to_string(), "c.d.");
@@ -91,14 +83,6 @@ TEST(Name, Prepended) {
   const auto child = zone.prepended("www");
   ASSERT_TRUE(child);
   EXPECT_EQ(child->to_string(), "www.example.com.");
-}
-
-TEST(Name, Appended) {
-  const auto left = Name::must_parse("www");
-  const auto right = Name::must_parse("example.com");
-  const auto joined = left.appended(right);
-  ASSERT_TRUE(joined);
-  EXPECT_EQ(joined->to_string(), "www.example.com.");
 }
 
 TEST(Name, Wildcard) {

@@ -182,7 +182,7 @@ TEST(ResolverMisbehavior, ForgedAnswerAcceptedWithoutValidation) {
   // The non-validating resolver happily serves the forged record — the
   // counterfactual that motivates DNSSEC in the first place.
   EXPECT_EQ(response.header.rcode, Rcode::kNoError);
-  ASSERT_EQ(response.answers_of_type(RrType::kA).size(), 1u);
+  ASSERT_EQ(response.answers_with(RrType::kA).size(), 1u);
 }
 
 
@@ -205,7 +205,7 @@ TEST(ResolverMisbehavior, UnsupportedDsAlgorithmIsInsecureNotBogus) {
       r->resolve(Name::must_parse("www.exotic.com"), RrType::kA);
   EXPECT_EQ(positive.header.rcode, Rcode::kNoError);
   EXPECT_FALSE(positive.header.ad);
-  EXPECT_EQ(positive.answers_of_type(RrType::kA).size(), 1u);
+  EXPECT_EQ(positive.answers_with(RrType::kA).size(), 1u);
 
   const auto negative =
       r->resolve(Name::must_parse("nope.exotic.com"), RrType::kA);

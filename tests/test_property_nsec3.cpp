@@ -168,7 +168,7 @@ TEST_P(Nsec3ChainProperty, ServerProofsAreSelfConsistent) {
     if (response.header.rcode != dns::Rcode::kNxDomain) continue;
 
     // Reconstruct the proof exactly as a validator would.
-    const auto nsec3s = response.authorities_of_type(RrType::kNsec3);
+    const auto nsec3s = response.authorities_with(RrType::kNsec3);
     ASSERT_GE(nsec3s.size(), 1u);
     const auto qhash = dns::nsec3_hash_name(
         qname,

@@ -64,7 +64,7 @@ TEST_F(ResolverTest, ValidZoneWildcardGetsAd) {
   const Message resp = r->resolve(wc_name("valid", "probe1"), RrType::kA);
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
   EXPECT_TRUE(resp.header.ad);
-  EXPECT_EQ(resp.answers_of_type(RrType::kA).size(), 1u);
+  EXPECT_EQ(resp.answers_with(RrType::kA).size(), 1u);
 }
 
 TEST_F(ResolverTest, ValidZoneNxdomainGetsAd) {
@@ -319,7 +319,7 @@ TEST_F(ResolverTest, NoDoBitStripsDnssecRecords) {
   const Message resp =
       r->resolve(nx_name("it-5", "nodo"), RrType::kA, /*dnssec_ok=*/false);
   EXPECT_EQ(resp.header.rcode, Rcode::kNxDomain);
-  EXPECT_TRUE(resp.authorities_of_type(RrType::kNsec3).empty());
+  EXPECT_TRUE(resp.authorities_with(RrType::kNsec3).empty());
   EXPECT_FALSE(resp.header.ad);
 }
 
@@ -328,7 +328,7 @@ TEST_F(ResolverTest, DnskeyQueryReturnsSecureAnswer) {
   const Message resp = r->resolve(
       Name::must_parse("rfc9276-in-the-wild.com"), RrType::kDnskey);
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
-  EXPECT_EQ(resp.answers_of_type(RrType::kDnskey).size(), 2u);
+  EXPECT_EQ(resp.answers_with(RrType::kDnskey).size(), 2u);
   EXPECT_TRUE(resp.header.ad);
 }
 
@@ -336,8 +336,8 @@ TEST_F(ResolverTest, Nsec3ParamQueryReturnsZoneParameters) {
   auto r = resolver(ResolverProfile::bind9_2021(), 61);
   const Message resp = r->resolve(
       Name::must_parse("it-17.rfc9276-in-the-wild.com"), RrType::kNsec3Param);
-  ASSERT_EQ(resp.answers_of_type(RrType::kNsec3Param).size(), 1u);
-  const auto param = resp.answers_of_type(RrType::kNsec3Param)[0]
+  ASSERT_EQ(resp.answers_with(RrType::kNsec3Param).size(), 1u);
+  const auto param = resp.answers_with(RrType::kNsec3Param).front()
                          .as<dns::Nsec3ParamRdata>();
   ASSERT_TRUE(param);
   EXPECT_EQ(param->iterations, 17);
@@ -371,9 +371,9 @@ TEST(ResolverCname, ChasesAcrossZonesAndValidates) {
   const Message resp =
       r->resolve(Name::must_parse("alias.source.com"), RrType::kA);
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
-  EXPECT_EQ(resp.answers_of_type(RrType::kCname).size(), 1u);
-  ASSERT_EQ(resp.answers_of_type(RrType::kA).size(), 1u);
-  EXPECT_TRUE(resp.answers_of_type(RrType::kA)[0].name.equals(
+  EXPECT_EQ(resp.answers_with(RrType::kCname).size(), 1u);
+  ASSERT_EQ(resp.answers_with(RrType::kA).size(), 1u);
+  EXPECT_TRUE(resp.answers_with(RrType::kA).front().name.equals(
       Name::must_parse("target.dest.net")));
   EXPECT_TRUE(resp.header.ad) << "both links of the chain validated";
 }
@@ -395,7 +395,7 @@ TEST(ResolverCname, DanglingCnameYieldsTargetNxdomain) {
   const Message resp =
       r->resolve(Name::must_parse("alias.dangling.com"), RrType::kA);
   EXPECT_EQ(resp.header.rcode, Rcode::kNxDomain);
-  EXPECT_EQ(resp.answers_of_type(RrType::kCname).size(), 1u);
+  EXPECT_EQ(resp.answers_with(RrType::kCname).size(), 1u);
 }
 
 }  // namespace

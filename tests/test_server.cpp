@@ -80,14 +80,14 @@ TEST_F(ServerTest, PositiveAnswerWithSignature) {
   const Message resp = ask(server_, "www.example.com", RrType::kA);
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
   EXPECT_TRUE(resp.header.aa);
-  ASSERT_EQ(resp.answers_of_type(RrType::kA).size(), 1u);
+  ASSERT_EQ(resp.answers_with(RrType::kA).size(), 1u);
   EXPECT_EQ(count_type(resp.answers, RrType::kRrsig), 1u);
 }
 
 TEST_F(ServerTest, PositiveAnswerWithoutDoBitOmitsSignatures) {
   const Message resp = ask(server_, "www.example.com", RrType::kA,
                            /*dnssec=*/false);
-  EXPECT_EQ(resp.answers_of_type(RrType::kA).size(), 1u);
+  EXPECT_EQ(resp.answers_with(RrType::kA).size(), 1u);
   EXPECT_EQ(count_type(resp.answers, RrType::kRrsig), 0u);
 }
 
@@ -96,10 +96,10 @@ TEST_F(ServerTest, NodataReturnsSoaAndMatchingNsec3) {
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
   EXPECT_TRUE(resp.answers.empty());
   EXPECT_EQ(count_type(resp.authorities, RrType::kSoa), 1u);
-  const auto nsec3s = resp.authorities_of_type(RrType::kNsec3);
+  const auto nsec3s = resp.authorities_with(RrType::kNsec3);
   ASSERT_EQ(nsec3s.size(), 1u);
   // The NSEC3 must *match* www.example.com and prove AAAA absent, A present.
-  const auto rdata = nsec3s[0].as<dns::Nsec3Rdata>();
+  const auto rdata = nsec3s.front().as<dns::Nsec3Rdata>();
   ASSERT_TRUE(rdata);
   EXPECT_TRUE(rdata->types.contains(RrType::kA));
   EXPECT_FALSE(rdata->types.contains(RrType::kAaaa));
@@ -110,7 +110,7 @@ TEST_F(ServerTest, NxdomainCarriesFullClosestEncloserProof) {
   const Message resp = ask(server_, "does-not-exist.example.com", RrType::kA);
   EXPECT_EQ(resp.header.rcode, Rcode::kNxDomain);
   EXPECT_EQ(count_type(resp.authorities, RrType::kSoa), 1u);
-  const auto nsec3s = resp.authorities_of_type(RrType::kNsec3);
+  const auto nsec3s = resp.authorities_with(RrType::kNsec3);
   EXPECT_EQ(nsec3s.size(), 3u);  // match(CE) + cover(next closer) + cover(*)
   EXPECT_EQ(count_type(resp.authorities, RrType::kRrsig), 4u);  // 3 + SOA
 
@@ -145,9 +145,9 @@ TEST_F(ServerTest, NxdomainCarriesFullClosestEncloserProof) {
 TEST_F(ServerTest, WildcardExpansionSynthesisesOwnerAndProof) {
   const Message resp = ask(server_, "anything.wc.example.com", RrType::kA);
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
-  const auto answers = resp.answers_of_type(RrType::kA);
+  const auto answers = resp.answers_with(RrType::kA);
   ASSERT_EQ(answers.size(), 1u);
-  EXPECT_TRUE(answers[0].name.equals(
+  EXPECT_TRUE(answers.front().name.equals(
       Name::must_parse("anything.wc.example.com")));
 
   // The RRSIG's labels field reveals wildcard synthesis (2 < 4 owner labels
@@ -164,7 +164,7 @@ TEST_F(ServerTest, WildcardExpansionSynthesisesOwnerAndProof) {
   }
   EXPECT_TRUE(found_sig);
   // And the next-closer name must be proven nonexistent.
-  EXPECT_EQ(resp.authorities_of_type(RrType::kNsec3).size(), 1u);
+  EXPECT_EQ(resp.authorities_with(RrType::kNsec3).size(), 1u);
 }
 
 TEST_F(ServerTest, WildcardNodataProof) {
@@ -172,7 +172,7 @@ TEST_F(ServerTest, WildcardNodataProof) {
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
   EXPECT_TRUE(resp.answers.empty());
   // match(CE=wc.example.com) + cover(next closer) + match(*.wc.example.com).
-  EXPECT_EQ(resp.authorities_of_type(RrType::kNsec3).size(), 3u);
+  EXPECT_EQ(resp.authorities_with(RrType::kNsec3).size(), 3u);
 }
 
 TEST_F(ServerTest, SecureReferralCarriesDs) {
@@ -192,9 +192,9 @@ TEST_F(ServerTest, InsecureReferralProvesNoDs) {
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
   EXPECT_EQ(count_type(resp.authorities, RrType::kDs), 0u);
   // NSEC3 matching the cut proving DS absent.
-  const auto nsec3s = resp.authorities_of_type(RrType::kNsec3);
+  const auto nsec3s = resp.authorities_with(RrType::kNsec3);
   ASSERT_GE(nsec3s.size(), 1u);
-  const auto rd = nsec3s[0].as<dns::Nsec3Rdata>();
+  const auto rd = nsec3s.front().as<dns::Nsec3Rdata>();
   ASSERT_TRUE(rd);
   EXPECT_TRUE(rd->types.contains(RrType::kNs));
   EXPECT_FALSE(rd->types.contains(RrType::kDs));
@@ -204,7 +204,7 @@ TEST_F(ServerTest, DsQueryAtDelegationAnsweredByParent) {
   const Message resp = ask(server_, "secure.example.com", RrType::kDs);
   EXPECT_EQ(resp.header.rcode, Rcode::kNoError);
   EXPECT_TRUE(resp.header.aa);
-  EXPECT_EQ(resp.answers_of_type(RrType::kDs).size(), 1u);
+  EXPECT_EQ(resp.answers_with(RrType::kDs).size(), 1u);
 }
 
 TEST_F(ServerTest, RefusedOutsideHostedZones) {
@@ -215,10 +215,10 @@ TEST_F(ServerTest, RefusedOutsideHostedZones) {
 
 TEST_F(ServerTest, DnskeyAndNsec3ParamQueriesAnswered) {
   const Message dnskey = ask(server_, "example.com", RrType::kDnskey);
-  EXPECT_EQ(dnskey.answers_of_type(RrType::kDnskey).size(), 2u);
+  EXPECT_EQ(dnskey.answers_with(RrType::kDnskey).size(), 2u);
   const Message param = ask(server_, "example.com", RrType::kNsec3Param);
-  ASSERT_EQ(param.answers_of_type(RrType::kNsec3Param).size(), 1u);
-  const auto rd = param.answers_of_type(RrType::kNsec3Param)[0]
+  ASSERT_EQ(param.answers_with(RrType::kNsec3Param).size(), 1u);
+  const auto rd = param.answers_with(RrType::kNsec3Param).front()
                       .as<dns::Nsec3ParamRdata>();
   ASSERT_TRUE(rd);
   EXPECT_EQ(rd->iterations, kIterations);
@@ -251,8 +251,8 @@ TEST(ServerCname, RedirectsWhenPresent) {
   AuthoritativeServer server("ns1.example.net");
   server.add_zone(zone);
   const Message resp = ask(server, "alias.example.net", RrType::kA);
-  EXPECT_EQ(resp.answers_of_type(RrType::kCname).size(), 1u);
-  EXPECT_TRUE(resp.answers_of_type(RrType::kA).empty());
+  EXPECT_EQ(resp.answers_with(RrType::kCname).size(), 1u);
+  EXPECT_TRUE(resp.answers_with(RrType::kA).empty());
 }
 
 TEST(ServerLazy, ProviderMaterialisesAndCaches) {

@@ -103,21 +103,6 @@ TEST(LatencyModel, ZeroJitterIsExactBase) {
             30);
 }
 
-TEST(LatencyModel, LongestPrefixRuleWins) {
-  LatencyModel model(Duration::from_ms(100), Duration{}, 7);
-  model.add_rule(IpAddress::v4(10, 0, 0, 0), 8, Duration::from_ms(50),
-                 Duration{});
-  model.add_address(IpAddress::v4(10, 0, 0, 9), Duration::from_ms(5),
-                    Duration{});
-  const auto from = IpAddress::v4(192, 0, 2, 1);
-  EXPECT_EQ(model.sample(from, IpAddress::v4(8, 8, 8, 8), 0, 0).millis(),
-            100);  // default
-  EXPECT_EQ(model.sample(from, IpAddress::v4(10, 1, 2, 3), 0, 0).millis(),
-            50);  // /8 rule
-  EXPECT_EQ(model.sample(from, IpAddress::v4(10, 0, 0, 9), 0, 0).millis(),
-            5);  // host route beats /8
-}
-
 TEST(ServiceModel, ConvertsBlocksToDelay) {
   const ServiceModel off{};
   EXPECT_FALSE(off.active());
