@@ -24,11 +24,14 @@
 //   ZH_PENDING_BUDGET  frontend pending-response budget before shedding
 //                      (also --pending-budget N)
 //   ZH_SHA1_IMPL       scalar | ssse3 | avx2 SHA-1 batch kernel (also
-//                      --sha1-impl I; default: widest the host supports —
-//                      see src/crypto/sha1_mb.hpp and docs/PERFORMANCE.md)
-//   ZH_CHAIN_MEMO      NSEC3 chain memo capacity, 0 disables (also
-//                      --chain-memo N; default 4096, auto-grown to the
-//                      domain population — see src/zone/chain_memo.hpp)
+//                      --sha1-impl I; default: widest the host supports;
+//                      one-name hashing runs SHA-NI where the host has it
+//                      unless scalar is forced — see src/crypto/sha1_mb.hpp
+//                      and docs/PERFORMANCE.md)
+//   ZH_CHAIN_MEMO      NSEC3 chain memo capacity, 0 disables it and the
+//                      NSEC3 digest memo (also --chain-memo N; default
+//                      4096, auto-grown to the domain population — see
+//                      src/zone/chain_memo.hpp, src/crypto/nsec3_memo.hpp)
 //   ZH_AGGRESSIVE_NSEC on | off RFC 8198 aggressive NSEC3 caching + RFC
 //                      9520 failure caching in the scan resolver (also
 //                      --aggressive-nsec E; default off — off is
@@ -109,9 +112,11 @@ inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 ///   --merge-shards FILE...      merge existing artefacts instead of
 ///                               scanning (consumes all remaining args)
 ///   --sha1-impl I               force the SHA-1 batch kernel (scalar,
-///                               ssse3, avx2) — outputs are impl-invariant
-///   --chain-memo N              NSEC3 chain memo capacity (0 disables) —
-///                               outputs are memo-invariant
+///                               ssse3, avx2; scalar also turns SHA-NI
+///                               off) — outputs are impl-invariant
+///   --chain-memo N              NSEC3 chain memo capacity (0 disables it
+///                               and the digest memo) — outputs are
+///                               memo-invariant
 ///   --aggressive-nsec E         on or off (default): RFC 8198 synthesis +
 ///                               RFC 9520 failure caching in the scan
 ///                               resolver — off is byte-identical to goldens

@@ -20,12 +20,14 @@ struct CostMeter {
   /// Number of *logical* SHA-1 compression-function invocations (64-byte
   /// blocks): what a message-at-a-time implementation would have executed.
   /// This is the currency of every amplification figure and of simtime
-  /// service costs, and it is invariant across batch kernels (sha1_mb.hpp)
-  /// and NSEC3 chain memoisation (zone/chain_memo.hpp) — both credit the
-  /// logical count even when they skip or restructure the physical work.
+  /// service costs, and it is invariant across SHA-1 kernels (sha1_mb.hpp),
+  /// NSEC3 chain memoisation (zone/chain_memo.hpp) and the NSEC3 digest
+  /// memo (nsec3_memo.hpp) — each credits the logical count even when it
+  /// skips or restructures the physical work.
   static std::uint64_t sha1_blocks() noexcept { return tls().sha1; }
   /// Number of SHA-1 compression blocks *actually executed* on this thread.
-  /// Equal to sha1_blocks() unless memoisation skipped a chain rebuild.
+  /// Equal to sha1_blocks() unless memoisation skipped a chain rebuild or
+  /// a digest-memo hit skipped an NSEC3 hash.
   static std::uint64_t sha1_physical_blocks() noexcept {
     return tls().sha1_physical;
   }

@@ -33,9 +33,12 @@ using Nsec3Digest = std::array<std::uint8_t, 20>;
 /// \param salt        The salt appended at every iteration (may be empty).
 /// \param iterations  Number of additional iterations (0 = hash once).
 ///
-/// Performs exactly `iterations + 1` SHA-1 message computations and ticks
-/// CostMeter accordingly; salt lengths and name lengths determine how many
-/// compression blocks each computation needs.
+/// Logically `iterations + 1` SHA-1 message computations: CostMeter's
+/// logical sha1_blocks and nsec3_hashes tick as if every one ran, with salt
+/// and name lengths deciding how many compression blocks each needs. The
+/// physical work is less when the calling thread's Nsec3DigestMemo
+/// (nsec3_memo.hpp) already holds the key; the re-hashes run on one
+/// pre-padded buffer through the single-stream kernel (sha1_iterate).
 Nsec3Digest nsec3_hash(std::span<const std::uint8_t> owner_wire,
                        std::span<const std::uint8_t> salt,
                        std::uint16_t iterations) noexcept;

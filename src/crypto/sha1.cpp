@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "crypto/cost_meter.hpp"
+#include "crypto/sha1_mb.hpp"
 
 namespace zh::crypto {
 namespace {
@@ -71,7 +72,7 @@ void Sha1::reset() noexcept {
 void Sha1::compress(const std::uint8_t* block) noexcept {
   CostMeter::add_sha1_blocks(1);
   CostMeter::add_sha1_physical(1);
-  sha1_compress_scalar(state_.data(), block);
+  sha1_single_compress()(state_.data(), block);
 }
 
 void Sha1::update(std::span<const std::uint8_t> data) noexcept {

@@ -14,8 +14,9 @@
 namespace zh::crypto {
 
 /// One unmetered compression round: folds the 64-byte `block` into `state`.
-/// Shared by the incremental hasher below and the multi-buffer kernels
-/// (sha1_mb.hpp) so there is exactly one scalar round implementation.
+/// The one scalar round implementation: the single-stream dispatch
+/// (sha1_single_compress in sha1_mb.hpp) and the batch kernels' scalar lane
+/// both run it.
 void sha1_compress_scalar(std::uint32_t state[5],
                           const std::uint8_t* block) noexcept;
 

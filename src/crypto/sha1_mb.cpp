@@ -80,6 +80,42 @@ std::atomic<std::uint8_t>& active_impl() noexcept {
   return impl;
 }
 
+/// The RFC 5155 re-hash message `digest ‖ suffix` pre-padded in one buffer.
+/// NSEC3 salts are at most 255 bytes, so five blocks always suffice; longer
+/// suffixes take the streaming Sha1 path.
+constexpr std::size_t kMaxIterateBuf = 5 * Sha1::kBlockSize;
+
+/// Blocks a `digest ‖ suffix` message pads to, or 0 if it outgrows
+/// kMaxIterateBuf.
+std::size_t iterate_blocks(std::size_t suffix_len) noexcept {
+  const std::size_t nblocks =
+      (Sha1::kDigestSize + suffix_len + 8) / Sha1::kBlockSize + 1;
+  return nblocks * Sha1::kBlockSize <= kMaxIterateBuf ? nblocks : 0;
+}
+
+/// Writes the constant part of a re-hash message: suffix, padding, bit
+/// length. The first kDigestSize bytes are left for the digest.
+void prepare_iterate_buffer(std::uint8_t* buf,
+                            std::span<const std::uint8_t> suffix,
+                            std::size_t nblocks) noexcept {
+  const std::size_t msg_len = Sha1::kDigestSize + suffix.size();
+  std::memset(buf, 0, nblocks * Sha1::kBlockSize);
+  if (!suffix.empty())
+    std::memcpy(buf + Sha1::kDigestSize, suffix.data(), suffix.size());
+  buf[msg_len] = 0x80;
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg_len) * 8;
+  std::uint8_t* p = buf + nblocks * Sha1::kBlockSize - 8;
+  for (int i = 0; i < 8; ++i)
+    p[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
 /// One message being fed through a lane: full 64-byte blocks come straight
 /// from the caller's buffer; the final (padded) 1–2 blocks from `tail`.
 struct LaneFeed {
@@ -122,13 +158,8 @@ struct LaneFeed {
 
 void store_digest(const detail::LaneState state, std::size_t lane,
                   Sha1::Digest& out) noexcept {
-  for (int word = 0; word < 5; ++word) {
-    const std::uint32_t v = state[word][lane];
-    out[4 * word + 0] = static_cast<std::uint8_t>(v >> 24);
-    out[4 * word + 1] = static_cast<std::uint8_t>(v >> 16);
-    out[4 * word + 2] = static_cast<std::uint8_t>(v >> 8);
-    out[4 * word + 3] = static_cast<std::uint8_t>(v);
-  }
+  for (int word = 0; word < 5; ++word)
+    store_be32(out.data() + 4 * word, state[word][lane]);
 }
 
 void reset_lane(detail::LaneState state, std::size_t lane) noexcept {
@@ -225,6 +256,16 @@ void sha1_compress_lane_scalar(LaneState state, const std::uint8_t* block,
 
 }  // namespace detail
 
+Sha1CompressFn sha1_single_compress() noexcept {
+#if defined(ZH_HAVE_SHA1_SHANI)
+  static const bool shani =
+      __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  if (shani && sha1_impl() != Sha1Impl::kScalar)
+    return detail::sha1_compress_shani;
+#endif
+  return sha1_compress_scalar;
+}
+
 void sha1_multi_hash(std::span<const std::span<const std::uint8_t>> messages,
                      Sha1::Digest* out) {
   const std::size_t count = messages.size();
@@ -292,39 +333,20 @@ void sha1_multi_iterate(std::span<Sha1::Digest> digests,
   const std::size_t count = digests.size();
   if (count == 0 || iterations == 0) return;
 
-  const std::size_t msg_len = Sha1::kDigestSize + suffix.size();
-  // One padded message per lane. NSEC3 salts are at most 255 bytes, so five
-  // blocks always suffice; anything longer takes the plain scalar path.
-  constexpr std::size_t kMaxBuf = 5 * Sha1::kBlockSize;
-  const std::size_t nblocks = (msg_len + 8) / Sha1::kBlockSize + 1;
-  if (nblocks * Sha1::kBlockSize > kMaxBuf) {
-    for (Sha1::Digest& digest : digests) {
-      for (std::uint16_t i = 0; i < iterations; ++i) {
-        Sha1 h;  // Sha1::compress ticks logical + physical itself
-        h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
-        h.update(suffix);
-        digest = h.finalize();
-      }
-    }
+  const std::size_t nblocks = iterate_blocks(suffix.size());
+  if (nblocks == 0) {
+    for (Sha1::Digest& digest : digests)
+      sha1_iterate(digest, suffix, iterations);
     return;
   }
 
   const Sha1Impl impl = sha1_impl();
   const std::size_t lanes = sha1_impl_lanes(impl);
 
-  // Constant part of every lane's message: suffix, padding, bit length.
-  std::uint8_t buffers[detail::kMaxLanes][kMaxBuf];
-  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg_len) * 8;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    std::uint8_t* buf = buffers[lane];
-    std::memset(buf, 0, nblocks * Sha1::kBlockSize);
-    if (!suffix.empty())
-      std::memcpy(buf + Sha1::kDigestSize, suffix.data(), suffix.size());
-    buf[msg_len] = 0x80;
-    std::uint8_t* p = buf + nblocks * Sha1::kBlockSize - 8;
-    for (int i = 0; i < 8; ++i)
-      p[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
+  // One padded message per lane.
+  std::uint8_t buffers[detail::kMaxLanes][kMaxIterateBuf];
+  for (std::size_t lane = 0; lane < lanes; ++lane)
+    prepare_iterate_buffer(buffers[lane], suffix, nblocks);
 
   detail::LaneState state;
   bool active[detail::kMaxLanes] = {};
@@ -364,6 +386,39 @@ void sha1_multi_iterate(std::span<Sha1::Digest> digests,
                   Sha1::kDigestSize);
   }
 
+  CostMeter::add_sha1_blocks(processed);
+  CostMeter::add_sha1_physical(processed);
+}
+
+void sha1_iterate(Sha1::Digest& digest, std::span<const std::uint8_t> suffix,
+                  std::uint16_t iterations) noexcept {
+  if (iterations == 0) return;
+  const std::size_t nblocks = iterate_blocks(suffix.size());
+  if (nblocks == 0) {
+    for (std::uint16_t i = 0; i < iterations; ++i) {
+      Sha1 h;  // Sha1::compress ticks logical + physical itself
+      h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
+      h.update(suffix);
+      digest = h.finalize();
+    }
+    return;
+  }
+
+  alignas(16) std::uint8_t buf[kMaxIterateBuf];
+  prepare_iterate_buffer(buf, suffix, nblocks);
+  std::memcpy(buf, digest.data(), Sha1::kDigestSize);
+  const Sha1CompressFn compress = sha1_single_compress();
+  for (std::uint16_t it = 0; it < iterations; ++it) {
+    std::uint32_t state[5] = {kIv[0], kIv[1], kIv[2], kIv[3], kIv[4]};
+    for (std::size_t block = 0; block < nblocks; ++block)
+      compress(state, buf + block * Sha1::kBlockSize);
+    for (int word = 0; word < 5; ++word)
+      store_be32(buf + 4 * word, state[word]);
+  }
+  std::memcpy(digest.data(), buf, Sha1::kDigestSize);
+
+  const std::uint64_t processed =
+      static_cast<std::uint64_t>(iterations) * nblocks;
   CostMeter::add_sha1_blocks(processed);
   CostMeter::add_sha1_physical(processed);
 }

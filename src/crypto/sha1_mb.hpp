@@ -1,7 +1,10 @@
-// Multi-buffer SHA-1: hashes batches of *independent* messages in parallel
-// SIMD lanes (SSSE3 4-wide, AVX2 8-wide, scalar fallback), selected once per
-// process by CPUID — overridable with ZH_SHA1_IMPL / set_sha1_impl() so the
-// forced-implementation test matrix can run every kernel on one host.
+// SHA-1 kernel registry and multi-buffer SHA-1. The batch path hashes
+// batches of *independent* messages in parallel SIMD lanes (SSSE3 4-wide,
+// AVX2 8-wide, scalar fallback), selected once per process by CPUID —
+// overridable with ZH_SHA1_IMPL / set_sha1_impl() so the forced-
+// implementation test matrix can run every kernel on one host. The
+// single-stream path (Sha1, nsec3_hash) runs one message at a time on SHA-NI
+// wherever the host has it; ZH_SHA1_IMPL=scalar forces scalar there too.
 //
 // The contract that makes a faster physical kernel safe in this
 // reproduction: *logical* hash-work accounting (CostMeter::sha1_blocks, the
@@ -22,7 +25,8 @@
 
 namespace zh::crypto {
 
-/// Available SHA-1 batch kernel implementations, narrowest first.
+/// Available SHA-1 batch kernel implementations, narrowest first. kScalar
+/// also turns off the single-stream SHA-NI kernel.
 enum class Sha1Impl : std::uint8_t {
   kScalar = 0,  // one message at a time (always available)
   kSsse3 = 1,   // 4 lanes of 32-bit words in XMM registers
@@ -53,6 +57,14 @@ Sha1Impl sha1_impl() noexcept;
 /// are clamped to sha1_best_impl(). Returns the implementation in effect.
 Sha1Impl set_sha1_impl(Sha1Impl impl) noexcept;
 
+/// One unmetered single-stream compression, as Sha1 and nsec3_hash run it.
+using Sha1CompressFn = void (*)(std::uint32_t state[5],
+                                const std::uint8_t* block) noexcept;
+
+/// The single-stream kernel: SHA-NI when it was compiled in, the CPU has it
+/// and sha1_impl() is not kScalar; sha1_compress_scalar otherwise.
+Sha1CompressFn sha1_single_compress() noexcept;
+
 /// Hashes `messages.size()` independent messages, writing digest i for
 /// message i into `out[i]`. Digests are bit-identical to Sha1::hash() for
 /// every implementation; ragged batches (lanes of unequal length) refill
@@ -70,6 +82,13 @@ void sha1_multi_hash(std::span<const std::span<const std::uint8_t>> messages,
 void sha1_multi_iterate(std::span<Sha1::Digest> digests,
                         std::span<const std::uint8_t> suffix,
                         std::uint16_t iterations);
+
+/// sha1_multi_iterate for one digest through the single-stream kernel: the
+/// `iterations` re-hashes run on one pre-padded `digest ‖ suffix ‖ pad`
+/// buffer. Same digests and the same logical and physical block count as
+/// hashing each round through Sha1.
+void sha1_iterate(Sha1::Digest& digest, std::span<const std::uint8_t> suffix,
+                  std::uint16_t iterations) noexcept;
 
 /// Thread-local physical batching telemetry (the trace-layer `sha1_batch`
 /// metric): how many batch calls ran and how many messages they covered.
@@ -113,6 +132,11 @@ void sha1_compress_x4_ssse3(LaneState state,
 #if defined(ZH_HAVE_SHA1_AVX2)
 void sha1_compress_x8_avx2(LaneState state,
                            const std::uint8_t* const blocks[8]) noexcept;
+#endif
+#if defined(ZH_HAVE_SHA1_SHANI)
+/// Drop-in for sha1_compress_scalar on the SHA extensions.
+void sha1_compress_shani(std::uint32_t state[5],
+                         const std::uint8_t* block) noexcept;
 #endif
 
 }  // namespace detail

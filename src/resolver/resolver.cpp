@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "crypto/cost_meter.hpp"
+#include "crypto/nsec3_hash.hpp"
 #include "crypto/signing.hpp"
 #include "simnet/exchange.hpp"
 #include "trace/trace.hpp"
@@ -35,6 +36,14 @@ Nsec3View collect_nsec3(const std::vector<ResourceRecord>& authorities,
   for (const auto& rr : authorities) {
     if (rr.type != RrType::kNsec3) continue;
     const auto rdata = rr.as<dns::Nsec3Rdata>();
+    // RFC 5155 §8.1/§8.2: ignore NSEC3 RRs with an unknown hash algorithm
+    // or with flags other than 0 and Opt-Out. A response left with none
+    // takes the missing-proof path.
+    if (rdata &&
+        (rdata->hash_algorithm !=
+             static_cast<std::uint8_t>(crypto::Nsec3HashAlgorithm::kSha1) ||
+         (rdata->flags & ~dns::Nsec3Rdata::kFlagOptOut) != 0))
+      continue;
     const auto hash = dns::nsec3_owner_hash(rr.name, apex);
     if (!rdata || !hash) {
       view.consistent = false;
@@ -44,8 +53,7 @@ Nsec3View collect_nsec3(const std::vector<ResourceRecord>& authorities,
       view.iterations = rdata->iterations;
       view.salt = rdata->salt;
     } else if (rdata->iterations != view.iterations ||
-               rdata->salt != view.salt ||
-               rdata->hash_algorithm != view.rdatas.front().hash_algorithm) {
+               rdata->salt != view.salt) {
       // RFC 5155 §7.2: all NSEC3 RRs in a response must share parameters.
       view.consistent = false;
     }

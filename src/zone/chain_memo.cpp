@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+
+#include "crypto/nsec3_memo.hpp"
 
 namespace zh::zone {
 namespace {
@@ -16,23 +15,10 @@ struct DefaultState {
   std::atomic<bool> pinned{false};
 
   DefaultState() {
-    const char* raw = std::getenv("ZH_CHAIN_MEMO");
-    if (raw == nullptr) return;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(raw, &end, 10);
-    if (errno != 0 || end == raw || *end != '\0' || raw[0] == '-') {
-      std::fprintf(stderr,
-                   "# ZH_CHAIN_MEMO='%s' is not a non-negative integer; "
-                   "using %llu\n",
-                   raw,
-                   static_cast<unsigned long long>(
-                       Nsec3ChainMemo::kDefaultCapacity));
-      return;
+    if (const auto env = crypto::chain_memo_env()) {
+      capacity.store(*env, std::memory_order_relaxed);
+      pinned.store(true, std::memory_order_relaxed);
     }
-    capacity.store(static_cast<std::size_t>(value),
-                   std::memory_order_relaxed);
-    pinned.store(true, std::memory_order_relaxed);
   }
 };
 
@@ -59,6 +45,7 @@ std::size_t Nsec3ChainMemo::default_capacity() {
 void Nsec3ChainMemo::set_default_capacity(std::size_t capacity) {
   default_state().capacity.store(capacity, std::memory_order_relaxed);
   default_state().pinned.store(true, std::memory_order_relaxed);
+  crypto::Nsec3DigestMemo::set_enabled(capacity > 0);
   instance().set_capacity(capacity);
 }
 
@@ -87,6 +74,7 @@ void Nsec3ChainMemo::set_capacity(std::size_t capacity) {
 void Nsec3ChainMemo::clear() {
   map_.clear();
   lru_.clear();
+  crypto::Nsec3DigestMemo::instance().clear();
 }
 
 const Nsec3ChainMemo::CachedChain* Nsec3ChainMemo::lookup(

@@ -109,11 +109,12 @@ class Nsec3ChainMemo {
   static Nsec3ChainMemo& instance();
 
   /// Process-wide default capacity for new per-thread memos. First call
-  /// reads ZH_CHAIN_MEMO (0 disables; garbage gets a stderr diagnostic and
-  /// falls back to kDefaultCapacity).
+  /// reads ZH_CHAIN_MEMO (crypto::chain_memo_env: 0 disables; garbage gets
+  /// a stderr diagnostic and falls back to kDefaultCapacity).
   static std::size_t default_capacity();
   /// Pins the default (bench --chain-memo flag); also resizes the calling
-  /// thread's memo. Later reserve_default_for() calls become no-ops.
+  /// thread's memo, and 0 switches crypto::Nsec3DigestMemo off with it.
+  /// Later reserve_default_for() calls become no-ops.
   static void set_default_capacity(std::size_t capacity);
   /// Raises the default towards `zones` (capped at kMaxAutoCapacity) so an
   /// ecosystem install can size the memo to its domain population. No-op if
@@ -129,7 +130,9 @@ class Nsec3ChainMemo {
   /// capacity; 0 drops everything and disables.
   void set_capacity(std::size_t capacity);
 
-  /// Drops all cached chains (stats are monotonic and survive).
+  /// Drops all cached chains (stats are monotonic and survive), and the
+  /// calling thread's crypto::Nsec3DigestMemo entries with them, so a
+  /// caller that wants cold hashing asks one memo.
   void clear();
 
   /// Cache probe. A hit refreshes LRU order and returns a pointer valid

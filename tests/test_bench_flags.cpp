@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "crypto/nsec3_memo.hpp"
 
 namespace zh::bench {
 namespace {
@@ -261,12 +262,15 @@ TEST(BenchFlags, Sha1ImplParsesAndForwardsToWorkers) {
 
 TEST(BenchFlags, ChainMemoParsesAndForwardsToWorkers) {
   const std::size_t previous = zone::Nsec3ChainMemo::default_capacity();
+  const bool previous_digest_memo = crypto::Nsec3DigestMemo::enabled();
 
   Argv argv({"bench", "--chain-memo", "0"});
   const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
   ASSERT_TRUE(flags.chain_memo.has_value());
   EXPECT_EQ(*flags.chain_memo, 0u);
   EXPECT_EQ(zone::Nsec3ChainMemo::default_capacity(), 0u);
+  // The one knob switches the NSEC3 digest memo off with the chain memo.
+  EXPECT_FALSE(crypto::Nsec3DigestMemo::enabled());
   EXPECT_EQ(flags.worker_args,
             (std::vector<std::string>{"--chain-memo", "0"}));
 
@@ -287,8 +291,10 @@ TEST(BenchFlags, ChainMemoParsesAndForwardsToWorkers) {
   ASSERT_TRUE(large.chain_memo.has_value());
   EXPECT_EQ(*large.chain_memo, 128u);
   EXPECT_EQ(zone::Nsec3ChainMemo::default_capacity(), 128u);
+  EXPECT_TRUE(crypto::Nsec3DigestMemo::enabled());
 
   zone::Nsec3ChainMemo::set_default_capacity(previous);
+  crypto::Nsec3DigestMemo::set_enabled(previous_digest_memo);
 }
 
 TEST(BenchFlags, AggressiveNsecParsesAndForwardsToWorkers) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "crypto/cost_meter.hpp"
+#include "crypto/nsec3_memo.hpp"
 #include "dns/dnssec.hpp"
 #include "server/auth_server.hpp"
 #include "trace/trace.hpp"
@@ -253,6 +254,18 @@ TEST(ChainMemo, LazyServerResignIsAMemoHit) {
 
   // The replayed chain answers byte-identically.
   EXPECT_EQ(revived.to_wire(), first.to_wire());
+}
+
+TEST(ChainMemo, ClearAlsoEmptiesTheDigestMemo) {
+  // perfbench and the micro-benchmarks ask one memo for cold hashing.
+  const bool was_enabled = crypto::Nsec3DigestMemo::enabled();
+  crypto::Nsec3DigestMemo::set_enabled(true);
+  (void)dns::nsec3_hash_name(Name::must_parse("www.example.com"), {}, 10);
+  ASSERT_GT(crypto::Nsec3DigestMemo::instance().size(), 0u);
+
+  Nsec3ChainMemo::instance().clear();
+  EXPECT_EQ(crypto::Nsec3DigestMemo::instance().size(), 0u);
+  crypto::Nsec3DigestMemo::set_enabled(was_enabled);
 }
 
 }  // namespace

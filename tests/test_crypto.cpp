@@ -1,14 +1,19 @@
 // Unit tests for zh::crypto: FIPS/RFC test vectors for the hash primitives,
-// HMAC vectors (RFC 4231/2202), the RFC 5155 Appendix A NSEC3 vectors, and
-// the simulated signature scheme.
+// HMAC vectors (RFC 4231/2202), the RFC 5155 Appendix A NSEC3 vectors, the
+// SHA-1 kernels, the NSEC3 digest memo, and the simulated signature scheme.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <random>
 #include <string>
+#include <thread>
 
 #include "crypto/cost_meter.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/nsec3_hash.hpp"
+#include "crypto/nsec3_memo.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha1_mb.hpp"
 #include "crypto/sha2.hpp"
@@ -563,6 +568,307 @@ TEST(CostMeter, ScopedMeasurement) {
   EXPECT_EQ(scope.elapsed(), 1u);
   (void)Sha1::hash(std::string_view(std::string(200, 'x')));
   EXPECT_GE(scope.elapsed(), 4u);
+}
+
+// --- Single-stream kernels (Sha1, nsec3_hash) ---
+
+/// One implementation per single-stream kernel: scalar forces
+/// sha1_compress_scalar, the host's best runs SHA-NI where it has it.
+std::vector<Sha1Impl> single_stream_impls() {
+  std::vector<Sha1Impl> impls = {Sha1Impl::kScalar};
+  if (sha1_best_impl() != Sha1Impl::kScalar)
+    impls.push_back(sha1_best_impl());
+  return impls;
+}
+
+/// Pins the NSEC3 digest memo on or off for one scope and empties it on
+/// both ends, so a test sees its own hits only.
+class ScopedDigestMemo {
+ public:
+  explicit ScopedDigestMemo(bool on) : previous_(Nsec3DigestMemo::enabled()) {
+    Nsec3DigestMemo::set_enabled(on);
+    Nsec3DigestMemo::instance().clear();
+  }
+  ~ScopedDigestMemo() {
+    Nsec3DigestMemo::instance().clear();
+    Nsec3DigestMemo::set_enabled(previous_);
+  }
+
+ private:
+  bool previous_;
+};
+
+TEST(Sha1SingleStream, ScalarForcesTheScalarKernel) {
+  ScopedSha1Impl scoped(Sha1Impl::kScalar);
+  EXPECT_EQ(sha1_single_compress(), &sha1_compress_scalar);
+}
+
+TEST(Sha1SingleStream, DefaultKernelMatchesScalarOnRandomBlocks) {
+  ScopedSha1Impl scoped(sha1_best_impl());
+  const Sha1CompressFn kernel = sha1_single_compress();
+  if (kernel == &sha1_compress_scalar)
+    GTEST_SKIP() << "SHA-NI not supported by this host/build";
+
+  std::mt19937_64 rng(0x5eed5a1);
+  for (int pair = 0; pair < 100'000; ++pair) {
+    std::uint32_t expected[5];
+    for (auto& word : expected) word = static_cast<std::uint32_t>(rng());
+    std::uint8_t block[Sha1::kBlockSize];
+    for (std::size_t i = 0; i < sizeof block; i += 8) {
+      const std::uint64_t r = rng();
+      std::memcpy(block + i, &r, 8);
+    }
+    std::uint32_t actual[5];
+    std::memcpy(actual, expected, sizeof actual);
+    sha1_compress_scalar(expected, block);
+    kernel(actual, block);
+    ASSERT_TRUE(std::equal(expected, expected + 5, actual))
+        << "pair " << pair;
+  }
+}
+
+TEST(Sha1SingleStream, Rfc3174VectorsOnEveryKernel) {
+  for (const Sha1Impl impl : single_stream_impls()) {
+    ScopedSha1Impl scoped(impl);
+    EXPECT_EQ(hex(Sha1::hash(std::string_view{"abc"})),
+              "a9993e364706816aba3e25717850c26c9cd0d89d")
+        << sha1_impl_name(impl);
+    EXPECT_EQ(
+        hex(Sha1::hash(std::string_view{
+            "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"})),
+        "84983e441c3bd26ebaae4aa1f95129e5e54670f1")
+        << sha1_impl_name(impl);
+    Sha1 h;
+    const std::string chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    EXPECT_EQ(hex(h.finalize()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f")
+        << sha1_impl_name(impl);
+  }
+}
+
+TEST(Sha1SingleStream, Rfc5155VectorsOnEveryKernel) {
+  ScopedDigestMemo memo_off(false);
+  const std::vector<std::uint8_t> salt = {0xaa, 0xbb, 0xcc, 0xdd};
+  for (const Sha1Impl impl : single_stream_impls()) {
+    ScopedSha1Impl scoped(impl);
+    const auto apex = wire_name({"example"});
+    const auto child = wire_name({"a", "example"});
+    EXPECT_EQ(base32hex(nsec3_hash(std::span<const std::uint8_t>(apex),
+                                   std::span<const std::uint8_t>(salt), 12)),
+              "0p9mhaveqvm6t7vbl5lop2u3t2rp3tom")
+        << sha1_impl_name(impl);
+    EXPECT_EQ(base32hex(nsec3_hash(std::span<const std::uint8_t>(child),
+                                   std::span<const std::uint8_t>(salt), 12)),
+              "35mthgpgcu1qg68fab165klnsnk3dpvl")
+        << sha1_impl_name(impl);
+  }
+}
+
+TEST(Sha1SingleStream, IterateMatchesSha1LoopForEverySuffixShape) {
+  // Suffix lengths across the padding edges of the pre-padded buffer, up to
+  // the 255-byte salt ceiling, and one past the buffer (streaming path).
+  for (const std::size_t suffix_len : {0u, 4u, 35u, 36u, 99u, 100u, 255u,
+                                       400u}) {
+    std::vector<std::uint8_t> suffix(suffix_len);
+    for (std::size_t i = 0; i < suffix_len; ++i)
+      suffix[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    const Sha1::Digest seed = Sha1::hash(std::string_view{"seed"});
+    constexpr std::uint16_t kIterations = 7;
+
+    Sha1::Digest expected = seed;
+    CostMeter::reset();
+    for (std::uint16_t it = 0; it < kIterations; ++it) {
+      Sha1 h;
+      h.update(std::span<const std::uint8_t>(expected.data(),
+                                             expected.size()));
+      h.update(std::span<const std::uint8_t>(suffix.data(), suffix.size()));
+      expected = h.finalize();
+    }
+    const std::uint64_t expected_blocks = CostMeter::sha1_blocks();
+
+    for (const Sha1Impl impl : single_stream_impls()) {
+      ScopedSha1Impl scoped(impl);
+      Sha1::Digest digest = seed;
+      CostMeter::reset();
+      sha1_iterate(digest,
+                   std::span<const std::uint8_t>(suffix.data(), suffix.size()),
+                   kIterations);
+      EXPECT_EQ(hex(digest), hex(expected))
+          << sha1_impl_name(impl) << " suffix " << suffix_len;
+      EXPECT_EQ(CostMeter::sha1_blocks(), expected_blocks)
+          << sha1_impl_name(impl) << " suffix " << suffix_len;
+      EXPECT_EQ(CostMeter::sha1_physical_blocks(), expected_blocks)
+          << sha1_impl_name(impl) << " suffix " << suffix_len;
+    }
+  }
+}
+
+// --- NSEC3 digest memo (nsec3_memo.hpp) ---
+
+/// Physical and logical meter deltas of one nsec3_hash call.
+struct HashWork {
+  Nsec3Digest digest;
+  std::uint64_t logical;
+  std::uint64_t physical;
+  std::uint64_t hashes;
+};
+
+HashWork hash_once(std::span<const std::uint8_t> owner,
+                   std::span<const std::uint8_t> salt,
+                   std::uint16_t iterations) {
+  const std::uint64_t logical = CostMeter::sha1_blocks();
+  const std::uint64_t physical = CostMeter::sha1_physical_blocks();
+  const std::uint64_t hashes = CostMeter::nsec3_hashes();
+  const Nsec3Digest digest = nsec3_hash(owner, salt, iterations);
+  return {digest, CostMeter::sha1_blocks() - logical,
+          CostMeter::sha1_physical_blocks() - physical,
+          CostMeter::nsec3_hashes() - hashes};
+}
+
+TEST(Nsec3DigestMemo, HitCreditsLogicalWorkAndNoPhysicalBlocks) {
+  ScopedDigestMemo memo_on(true);
+  const auto owner = wire_name({"www", "example", "com"});
+  const std::vector<std::uint8_t> salt = {0xaa, 0xbb};
+  for (const std::uint16_t iterations : {0, 50}) {
+    Nsec3DigestMemo::instance().clear();
+    const HashWork miss = hash_once(owner, salt, iterations);
+    EXPECT_EQ(miss.logical, 1u + iterations);
+    EXPECT_EQ(miss.physical, miss.logical);
+    EXPECT_EQ(miss.hashes, 1u);
+    EXPECT_EQ(Nsec3DigestMemo::instance().size(), 1u);
+
+    const HashWork hit = hash_once(owner, salt, iterations);
+    EXPECT_EQ(hit.digest, miss.digest) << iterations;
+    EXPECT_EQ(hit.logical, miss.logical) << iterations;
+    EXPECT_EQ(hit.hashes, 1u) << iterations;
+    EXPECT_EQ(hit.physical, 0u) << iterations;
+    EXPECT_EQ(Nsec3DigestMemo::instance().size(), 1u);
+  }
+}
+
+TEST(Nsec3DigestMemo, KeysExactlyOnOwnerSaltAndIterations) {
+  ScopedDigestMemo memo_on(true);
+  const auto owner = wire_name({"ab", "example"});
+  const std::vector<std::uint8_t> salt = {0x01, 0x02};
+  // The same owner ‖ salt bytes split two ways: H(owner ‖ salt) is shared,
+  // but every re-hash appends a different salt.
+  const std::vector<std::uint8_t> shifted_owner(owner.begin(),
+                                                owner.end() - 1);
+  const std::vector<std::uint8_t> shifted_salt = {owner.back(), 0x01, 0x02};
+  const std::vector<std::uint8_t> short_salt = {0x01};
+  struct Near {
+    std::span<const std::uint8_t> owner;
+    std::span<const std::uint8_t> salt;
+    std::uint16_t iterations;
+    const char* what;
+  };
+  for (const Near& near :
+       {Near{shifted_owner, shifted_salt, 5, "bytes moved to the salt"},
+        Near{owner, salt, 6, "another iteration count"},
+        Near{owner, short_salt, 5, "a shorter salt"}}) {
+    Nsec3DigestMemo::instance().clear();
+    const HashWork first = hash_once(owner, salt, 5);
+    const HashWork other = hash_once(near.owner, near.salt, near.iterations);
+    EXPECT_GT(other.physical, 0u) << near.what << " hit";
+    EXPECT_NE(other.digest, first.digest) << near.what;
+    // The answer is the one computing from scratch gives.
+    Nsec3DigestMemo::set_enabled(false);
+    EXPECT_EQ(other.digest, nsec3_hash(near.owner, near.salt, near.iterations))
+        << near.what;
+    Nsec3DigestMemo::set_enabled(true);
+  }
+}
+
+TEST(Nsec3DigestMemo, KeysSharingASlotNeverMatch) {
+  // A key that lands in another key's slot must miss and evict it, never
+  // answer with the other key's digest.
+  ScopedDigestMemo memo_on(true);
+  const auto target = wire_name({"www", "example", "com"});
+  bool shared = false;
+  for (std::size_t i = 0; i < 10 * Nsec3DigestMemo::kCapacity && !shared;
+       ++i) {
+    Nsec3DigestMemo::instance().clear();
+    (void)hash_once(target, {}, 0);
+    const auto other = wire_name({"host" + std::to_string(i), "example"});
+    ASSERT_GT(hash_once(other, {}, 0).physical, 0u) << "host" << i << " hit";
+    shared = hash_once(target, {}, 0).physical > 0;
+  }
+  EXPECT_TRUE(shared) << "no key landed in the target's slot";
+}
+
+TEST(Nsec3DigestMemo, SizeNeverExceedsCapacity) {
+  ScopedDigestMemo memo_on(true);
+  Nsec3DigestMemo& memo = Nsec3DigestMemo::instance();
+  const std::vector<std::uint8_t> salt = {0x5a};
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < 10 * Nsec3DigestMemo::kCapacity; ++i) {
+    const auto owner = wire_name({"host" + std::to_string(i), "example"});
+    (void)nsec3_hash(owner, salt, 0);
+    peak = std::max(peak, memo.size());
+    ASSERT_LE(memo.size(), Nsec3DigestMemo::kCapacity) << "key " << i;
+  }
+  // 2,560 distinct keys fill every slot.
+  EXPECT_EQ(peak, Nsec3DigestMemo::kCapacity);
+}
+
+TEST(Nsec3DigestMemo, LongKeysBypassTheMemo) {
+  ScopedDigestMemo memo_on(true);
+  const auto owner = wire_name({"www", "example", "com"});
+  const std::vector<std::uint8_t> long_salt(Nsec3DigestMemo::kMaxKeyBytes,
+                                            0x33);
+  (void)hash_once(owner, long_salt, 10);
+  EXPECT_GT(hash_once(owner, long_salt, 10).physical, 0u);
+  EXPECT_EQ(Nsec3DigestMemo::instance().size(), 0u);
+}
+
+TEST(Nsec3DigestMemo, DisabledMemoRecomputes) {
+  ScopedDigestMemo memo_off(false);
+  const auto owner = wire_name({"www", "example", "com"});
+  const HashWork first = hash_once(owner, {}, 20);
+  const HashWork second = hash_once(owner, {}, 20);
+  EXPECT_EQ(second.digest, first.digest);
+  EXPECT_EQ(second.physical, 21u);
+  EXPECT_EQ(Nsec3DigestMemo::instance().size(), 0u);
+}
+
+TEST(Nsec3DigestMemo, ClearEmptiesTheMemo) {
+  ScopedDigestMemo memo_on(true);
+  const auto owner = wire_name({"www", "example", "com"});
+  (void)hash_once(owner, {}, 20);
+  ASSERT_EQ(Nsec3DigestMemo::instance().size(), 1u);
+  Nsec3DigestMemo::instance().clear();
+  EXPECT_EQ(Nsec3DigestMemo::instance().size(), 0u);
+  EXPECT_EQ(hash_once(owner, {}, 20).physical, 21u);
+}
+
+TEST(Nsec3DigestMemo, ThreadsNeverShareEntries) {
+  ScopedDigestMemo memo_on(true);
+  const auto owner = wire_name({"www", "example", "com"});
+  (void)hash_once(owner, {}, 20);
+  ASSERT_EQ(hash_once(owner, {}, 20).physical, 0u);
+
+  std::size_t other_size_before = 1;
+  HashWork other{};
+  std::thread worker([&] {
+    other_size_before = Nsec3DigestMemo::instance().size();
+    other = hash_once(owner, {}, 20);
+  });
+  worker.join();
+  EXPECT_EQ(other_size_before, 0u);
+  EXPECT_EQ(other.physical, 21u) << "a second thread hit the first's entry";
+  EXPECT_EQ(Nsec3DigestMemo::instance().size(), 1u);
+}
+
+TEST(Nsec3DigestMemo, FollowsTheEnvironmentKnob) {
+  // ctest runs this once more with ZH_CHAIN_MEMO=0, the one memo knob.
+  const char* raw = std::getenv("ZH_CHAIN_MEMO");
+  const bool off = raw != nullptr && std::string_view(raw) == "0";
+  EXPECT_EQ(Nsec3DigestMemo::enabled(), !off);
+  if (!off) return;
+  Nsec3DigestMemo::instance().clear();
+  const auto owner = wire_name({"www", "example", "com"});
+  (void)hash_once(owner, {}, 20);
+  EXPECT_EQ(hash_once(owner, {}, 20).physical, 21u);
 }
 
 }  // namespace

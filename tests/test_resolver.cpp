@@ -4,8 +4,11 @@
 // forwarding, caching and the CVE-2023-50868 cost signal.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
+#include "crypto/signing.hpp"
+#include "dns/dnssec.hpp"
 #include "testbed/internet.hpp"
 
 namespace zh::resolver {
@@ -342,6 +345,94 @@ TEST_F(ResolverTest, Nsec3ParamQueryReturnsZoneParameters) {
   ASSERT_TRUE(param);
   EXPECT_EQ(param->iterations, 17);
   EXPECT_TRUE(param->salt.empty());
+}
+
+/// On-path rewrite of every NSEC3 RR below `zone`, re-signed with the
+/// zone's own ZSK (the testbed derives it from the apex name), so the
+/// signatures stay valid and only the rewritten field is wrong.
+simnet::TamperHook rewrite_nsec3(Name zone,
+                                 std::function<void(dns::Nsec3Rdata&)> edit) {
+  return [zone = std::move(zone), edit = std::move(edit)](
+             Message& response, const IpAddress& /*from*/,
+             const IpAddress& /*to*/) {
+    bool touched = false;
+    for (auto& rr : response.authorities) {
+      if (rr.type != RrType::kNsec3 || !rr.name.is_subdomain_of(zone))
+        continue;
+      auto rdata = rr.as<dns::Nsec3Rdata>();
+      if (!rdata) continue;
+      edit(*rdata);
+      rr.rdata = rdata->encode();
+      dns::RrSet set;
+      set.name = rr.name;
+      set.type = RrType::kNsec3;
+      set.ttl = rr.ttl;
+      set.rdatas = {rr.rdata};
+      for (auto& sig_rr : response.authorities) {
+        if (sig_rr.type != RrType::kRrsig || !sig_rr.name.equals(rr.name))
+          continue;
+        auto sig = sig_rr.as<dns::RrsigRdata>();
+        if (!sig || sig->covered() != RrType::kNsec3) continue;
+        const auto key =
+            crypto::SimKey::derive(sig->signer.to_string() + "/zsk");
+        const auto data = dns::build_signed_data(*sig, set);
+        const auto signature =
+            key.sign(std::span<const std::uint8_t>(data.data(), data.size()));
+        sig->signature.assign(signature.begin(), signature.end());
+        sig_rr.rdata = sig->encode();
+      }
+      touched = true;
+    }
+    return touched;
+  };
+}
+
+TEST_F(ResolverTest, Nsec3WithUnknownHashAlgorithmProvesNothing) {
+  // RFC 5155 §8.1: validators MUST ignore NSEC3 RRs with unknown hash
+  // algorithms. A proof made only of them is a missing proof.
+  auto r = resolver(ResolverProfile::bind9_2021(), 62);
+  const std::uint64_t tampered_before =
+      internet_->network().tampered_responses();
+  internet_->network().set_tamper(
+      rewrite_nsec3(Name::must_parse("rfc9276-in-the-wild.com"),
+                    [](dns::Nsec3Rdata& nsec3) { nsec3.hash_algorithm = 2; }));
+  const Message resp = r->resolve(nx_name("valid", "alg2"), RrType::kA);
+  internet_->network().set_tamper(nullptr);
+
+  EXPECT_GT(internet_->network().tampered_responses(), tampered_before);
+  EXPECT_EQ(resp.header.rcode, Rcode::kServFail);
+  EXPECT_FALSE(resp.header.ad);
+}
+
+TEST_F(ResolverTest, Nsec3WithUnknownFlagsProvesNothing) {
+  // RFC 5155 §8.2: validators MUST ignore NSEC3 RRs whose Flags field is
+  // neither 0 nor 1 (Opt-Out is the only defined flag).
+  auto r = resolver(ResolverProfile::bind9_2021(), 63);
+  const std::uint64_t tampered_before =
+      internet_->network().tampered_responses();
+  internet_->network().set_tamper(
+      rewrite_nsec3(Name::must_parse("rfc9276-in-the-wild.com"),
+                    [](dns::Nsec3Rdata& nsec3) { nsec3.flags = 0x02; }));
+  const Message resp = r->resolve(nx_name("valid", "flags2"), RrType::kA);
+  internet_->network().set_tamper(nullptr);
+
+  EXPECT_GT(internet_->network().tampered_responses(), tampered_before);
+  EXPECT_EQ(resp.header.rcode, Rcode::kServFail);
+  EXPECT_FALSE(resp.header.ad);
+}
+
+TEST_F(ResolverTest, ReSignedUntouchedProofStillValidates) {
+  // The rewrite hook itself is sound: an edit that changes nothing leaves a
+  // proof the validator accepts, so the SERVFAILs above come from the field.
+  auto r = resolver(ResolverProfile::bind9_2021(), 64);
+  internet_->network().set_tamper(
+      rewrite_nsec3(Name::must_parse("rfc9276-in-the-wild.com"),
+                    [](dns::Nsec3Rdata&) {}));
+  const Message resp = r->resolve(nx_name("valid", "resigned"), RrType::kA);
+  internet_->network().set_tamper(nullptr);
+
+  EXPECT_EQ(resp.header.rcode, Rcode::kNxDomain);
+  EXPECT_TRUE(resp.header.ad);
 }
 
 
