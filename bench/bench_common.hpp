@@ -23,11 +23,10 @@
 //   ZH_TCP_IDLE_MS     frontend TCP idle-reap timeout (also --tcp-idle-ms)
 //   ZH_PENDING_BUDGET  frontend pending-response budget before shedding
 //                      (also --pending-budget N)
-//   ZH_SHA1_IMPL       scalar | ssse3 | avx2 SHA-1 batch kernel (also
-//                      --sha1-impl I; default: widest the host supports;
-//                      one-name hashing runs SHA-NI where the host has it
-//                      unless scalar is forced — see src/crypto/sha1_mb.hpp
-//                      and docs/PERFORMANCE.md)
+//   ZH_SHA1_IMPL       scalar forces the portable SHA-1 kernel (also
+//                      --sha1-impl scalar; default: SHA-NI where the host
+//                      has it — see src/crypto/sha1.hpp and
+//                      docs/PERFORMANCE.md)
 //   ZH_CHAIN_MEMO      NSEC3 chain memo capacity, 0 disables it and the
 //                      NSEC3 digest memo (also --chain-memo N; default
 //                      4096, auto-grown to the domain population — see
@@ -53,7 +52,7 @@
 #include <string>
 #include <vector>
 
-#include "crypto/sha1_mb.hpp"
+#include "crypto/sha1.hpp"
 #include "scanner/campaign.hpp"
 #include "scanner/parallel.hpp"
 #include "simtime/latency.hpp"
@@ -111,9 +110,8 @@ inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 ///                               mode — implies --shard/--of)
 ///   --merge-shards FILE...      merge existing artefacts instead of
 ///                               scanning (consumes all remaining args)
-///   --sha1-impl I               force the SHA-1 batch kernel (scalar,
-///                               ssse3, avx2; scalar also turns SHA-NI
-///                               off) — outputs are impl-invariant
+///   --sha1-impl scalar          force the portable SHA-1 kernel instead
+///                               of SHA-NI — outputs are kernel-invariant
 ///   --chain-memo N              NSEC3 chain memo capacity (0 disables it
 ///                               and the digest memo) — outputs are
 ///                               memo-invariant
@@ -149,9 +147,6 @@ struct BenchFlags {
   std::string emit_shard;
   /// Merge-mode inputs: decode + merge these artefacts, run nothing.
   std::vector<std::string> merge_shards;
-  /// SHA-1 batch kernel forced via --sha1-impl (already clamped to a
-  /// supported implementation and installed); nullopt = CPUID default.
-  std::optional<crypto::Sha1Impl> sha1_impl;
   /// NSEC3 chain memo capacity forced via --chain-memo (already installed
   /// as the process default); nullopt = env/default sizing.
   std::optional<std::size_t> chain_memo;
@@ -349,19 +344,13 @@ inline BenchFlags parse_flags(int argc, char** argv) {
       forward = false;
       flags.emit_shard = v;
     } else if (const char* v = value_of(i, "--sha1-impl")) {
-      if (const auto parsed = crypto::parse_sha1_impl(v)) {
-        const crypto::Sha1Impl effective = crypto::set_sha1_impl(*parsed);
-        flags.sha1_impl = effective;
-        if (effective != *parsed)
-          std::fprintf(stderr,
-                       "# --sha1-impl %s is not supported by this host/build; "
-                       "using %s\n",
-                       v, crypto::sha1_impl_name(effective));
+      if (std::strcmp(v, "scalar") == 0) {
+        crypto::force_sha1_scalar(true);
       } else {
         std::fprintf(stderr,
-                     "# --sha1-impl '%s' is not one of scalar|ssse3|avx2; "
-                     "using %s\n",
-                     v, crypto::sha1_impl_name(crypto::sha1_impl()));
+                     "# --sha1-impl '%s' is not 'scalar'; keeping the %s "
+                     "kernel\n",
+                     v, crypto::sha1_scalar_forced() ? "scalar" : "default");
       }
     } else if (const char* v = value_of(i, "--chain-memo")) {
       errno = 0;

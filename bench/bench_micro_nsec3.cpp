@@ -6,7 +6,6 @@
 #include "crypto/nsec3_hash.hpp"
 #include "crypto/nsec3_memo.hpp"
 #include "crypto/sha1.hpp"
-#include "crypto/sha1_mb.hpp"
 #include "crypto/sha2.hpp"
 #include "dns/dnssec.hpp"
 #include "zone/chain_memo.hpp"
@@ -51,17 +50,17 @@ class ScopedDigestMemo {
   bool previous_;
 };
 
-/// Forces a SHA-1 implementation for one benchmark's scope.
-class ScopedSha1Impl {
+/// Forces the scalar SHA-1 kernel on or off for one benchmark's scope.
+class ScopedSha1Scalar {
  public:
-  explicit ScopedSha1Impl(zh::crypto::Sha1Impl impl)
-      : previous_(zh::crypto::sha1_impl()) {
-    zh::crypto::set_sha1_impl(impl);
+  explicit ScopedSha1Scalar(bool on)
+      : previous_(zh::crypto::sha1_scalar_forced()) {
+    zh::crypto::force_sha1_scalar(on);
   }
-  ~ScopedSha1Impl() { zh::crypto::set_sha1_impl(previous_); }
+  ~ScopedSha1Scalar() { zh::crypto::force_sha1_scalar(previous_); }
 
  private:
-  zh::crypto::Sha1Impl previous_;
+  bool previous_;
 };
 
 void BM_Sha1Block(benchmark::State& state) {
@@ -94,8 +93,7 @@ BENCHMARK(BM_Sha256Block)->Arg(64)->Arg(1024);
 /// range(1) the iteration count. The loop re-hashes one owner, so the
 /// digest memo is pinned off.
 void BM_Nsec3Hash_Iterations(benchmark::State& state) {
-  ScopedSha1Impl kernel(state.range(0) == 0 ? zh::crypto::Sha1Impl::kScalar
-                                            : zh::crypto::sha1_best_impl());
+  ScopedSha1Scalar kernel(state.range(0) == 0);
   const bool scalar =
       zh::crypto::sha1_single_compress() == &zh::crypto::sha1_compress_scalar;
   if (state.range(0) != 0 && scalar) {
@@ -147,49 +145,6 @@ void BM_Nsec3Hash_SaltLength(benchmark::State& state) {
 }
 BENCHMARK(BM_Nsec3Hash_SaltLength)->Arg(0)->Arg(8)->Arg(40)->Arg(160);
 
-/// The tentpole micro: batch NSEC3 hashing through each SHA-1 kernel.
-/// range(0) selects the implementation (0 scalar / 1 ssse3 / 2 avx2),
-/// range(1) the batch size, range(2) the iteration count. Unsupported
-/// kernels are skipped, so the full grid is safe on any host. The SIMD ÷
-/// scalar items-per-second ratio at equal (batch, iterations) is the
-/// speedup figure quoted in docs/PERFORMANCE.md.
-void BM_Nsec3BatchHash(benchmark::State& state) {
-  const auto impl = static_cast<zh::crypto::Sha1Impl>(state.range(0));
-  if (!zh::crypto::sha1_impl_supported(impl)) {
-    state.SkipWithError("kernel not supported on this host/build");
-    return;
-  }
-  const std::size_t batch = static_cast<std::size_t>(state.range(1));
-  const auto iterations = static_cast<std::uint16_t>(state.range(2));
-
-  std::vector<std::vector<std::uint8_t>> owners;
-  owners.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i)
-    owners.push_back(Name::must_parse("host" + std::to_string(i) +
-                                      ".example.com")
-                         .to_canonical_wire());
-  std::vector<std::span<const std::uint8_t>> spans;
-  spans.reserve(batch);
-  for (const auto& owner : owners) spans.emplace_back(owner.data(),
-                                                      owner.size());
-  std::vector<zh::crypto::Nsec3Digest> digests(batch);
-
-  ScopedSha1Impl kernel(impl);
-  for (auto _ : state) {
-    zh::crypto::nsec3_hash_batch(
-        std::span<const std::span<const std::uint8_t>>(spans.data(),
-                                                       spans.size()),
-        {}, iterations, digests.data());
-    benchmark::DoNotOptimize(digests.data());
-  }
-
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-  state.SetLabel(zh::crypto::sha1_impl_name(impl));
-}
-BENCHMARK(BM_Nsec3BatchHash)
-    ->ArgsProduct({{0, 1, 2}, {64, 1024}, {0, 10, 150}});
-
 /// A 20-host zone, the shared workload of the signing benches below.
 zh::zone::Zone make_bench_zone(std::uint16_t iterations,
                                zh::zone::SignerConfig* config) {
@@ -208,10 +163,11 @@ zh::zone::Zone make_bench_zone(std::uint16_t iterations,
 }
 
 /// Zone signing cost by iteration count (authoritative-side view of Item 2).
-/// The chain memo is disabled here so every iteration pays the full hash +
-/// sign cost — the from-scratch baseline for BM_SignZone_MemoHit.
+/// Both NSEC3 memos are pinned off here so every iteration pays the full
+/// hash + sign cost — the from-scratch baseline for BM_SignZone_MemoHit.
 void BM_SignZone(benchmark::State& state) {
   ScopedChainMemo memo_off(0);
+  ScopedDigestMemo digest_memo_off(false);
   for (auto _ : state) {
     state.PauseTiming();
     zh::zone::SignerConfig config;

@@ -20,7 +20,7 @@ struct CostMeter {
   /// Number of *logical* SHA-1 compression-function invocations (64-byte
   /// blocks): what a message-at-a-time implementation would have executed.
   /// This is the currency of every amplification figure and of simtime
-  /// service costs, and it is invariant across SHA-1 kernels (sha1_mb.hpp),
+  /// service costs, and it is invariant across SHA-1 kernels (sha1.hpp),
   /// NSEC3 chain memoisation (zone/chain_memo.hpp) and the NSEC3 digest
   /// memo (nsec3_memo.hpp) — each credits the logical count even when it
   /// skips or restructures the physical work.

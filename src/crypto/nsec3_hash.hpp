@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace zh::crypto {
 
@@ -42,29 +41,5 @@ using Nsec3Digest = std::array<std::uint8_t, 20>;
 Nsec3Digest nsec3_hash(std::span<const std::uint8_t> owner_wire,
                        std::span<const std::uint8_t> salt,
                        std::uint16_t iterations) noexcept;
-
-/// Batched nsec3_hash: hashes `owners.size()` independent owner names under
-/// one (salt, iterations) parameter set, writing digest i into `out[i]`.
-///
-/// Dispatches to the multi-buffer SHA-1 kernel (sha1_mb.hpp): the ragged
-/// first hashes H(owner || salt) refill SIMD lanes as they drain, and the
-/// `iterations` fixed-length re-hashes run in perfect lockstep. Digests and
-/// CostMeter *logical* accounting (sha1 blocks, nsec3 hashes) are
-/// bit-identical to calling nsec3_hash once per owner, for every
-/// implementation ZH_SHA1_IMPL can select — this is what keeps campaign
-/// artefacts and CVE amplification figures byte-identical while the zone
-/// signer hashes whole NSEC3 chains lane-parallel.
-void nsec3_hash_batch(std::span<const std::span<const std::uint8_t>> owners,
-                      std::span<const std::uint8_t> salt,
-                      std::uint16_t iterations, Nsec3Digest* out);
-
-/// Upper bounds from RFC 5155 §10.3: a validator MAY treat higher iteration
-/// counts as insecure, depending on the zone signing key size.
-/// (RFC 9276 obsoletes these in favour of a flat 0.)
-struct Rfc5155IterationLimits {
-  static constexpr std::uint16_t kFor1024BitKeys = 150;
-  static constexpr std::uint16_t kFor2048BitKeys = 500;
-  static constexpr std::uint16_t kFor4096BitKeys = 2500;
-};
 
 }  // namespace zh::crypto

@@ -1,13 +1,63 @@
 #include "crypto/sha1.hpp"
 
+#include <atomic>
 #include <bit>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "crypto/cost_meter.hpp"
-#include "crypto/sha1_mb.hpp"
 
 namespace zh::crypto {
 namespace {
+
+constexpr std::array<std::uint32_t, 5> kIv = {
+    0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+
+bool scalar_from_env() noexcept {
+  const char* env = std::getenv("ZH_SHA1_IMPL");
+  if (env == nullptr || *env == '\0') return false;
+  if (std::string_view(env) == "scalar") return true;
+  std::fprintf(stderr,
+               "# ZH_SHA1_IMPL='%s' is not 'scalar'; keeping the default "
+               "kernel\n",
+               env);
+  return false;
+}
+
+std::atomic<bool>& scalar_flag() noexcept {
+  static std::atomic<bool> forced{scalar_from_env()};
+  return forced;
+}
+
+/// The RFC 5155 re-hash message `digest ‖ suffix` pre-padded in one buffer.
+/// NSEC3 salts are at most 255 bytes, so five blocks always suffice; longer
+/// suffixes take the streaming Sha1 path.
+constexpr std::size_t kMaxIterateBuf = 5 * Sha1::kBlockSize;
+
+/// Blocks a `digest ‖ suffix` message pads to, or 0 if it outgrows
+/// kMaxIterateBuf.
+std::size_t iterate_blocks(std::size_t suffix_len) noexcept {
+  const std::size_t nblocks =
+      (Sha1::kDigestSize + suffix_len + 8) / Sha1::kBlockSize + 1;
+  return nblocks * Sha1::kBlockSize <= kMaxIterateBuf ? nblocks : 0;
+}
+
+/// Writes the constant part of a re-hash message: suffix, padding, bit
+/// length. The first kDigestSize bytes are left for the digest.
+void prepare_iterate_buffer(std::uint8_t* buf,
+                            std::span<const std::uint8_t> suffix,
+                            std::size_t nblocks) noexcept {
+  const std::size_t msg_len = Sha1::kDigestSize + suffix.size();
+  std::memset(buf, 0, nblocks * Sha1::kBlockSize);
+  if (!suffix.empty())
+    std::memcpy(buf + Sha1::kDigestSize, suffix.data(), suffix.size());
+  buf[msg_len] = 0x80;
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg_len) * 8;
+  std::uint8_t* p = buf + nblocks * Sha1::kBlockSize - 8;
+  for (int i = 0; i < 8; ++i)
+    p[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+}
 
 inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
   return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
@@ -63,8 +113,25 @@ void sha1_compress_scalar(std::uint32_t state[5],
   state[4] += e;
 }
 
+Sha1CompressFn sha1_single_compress() noexcept {
+#if defined(ZH_HAVE_SHA1_SHANI)
+  static const bool shani =
+      __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  if (shani && !sha1_scalar_forced()) return detail::sha1_compress_shani;
+#endif
+  return sha1_compress_scalar;
+}
+
+bool sha1_scalar_forced() noexcept {
+  return scalar_flag().load(std::memory_order_relaxed);
+}
+
+void force_sha1_scalar(bool on) noexcept {
+  scalar_flag().store(on, std::memory_order_relaxed);
+}
+
 void Sha1::reset() noexcept {
-  state_ = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+  state_ = kIv;
   total_len_ = 0;
   buffer_len_ = 0;
 }
@@ -137,6 +204,39 @@ Sha1::Digest Sha1::hash(std::string_view data) noexcept {
   Sha1 h;
   h.update(data);
   return h.finalize();
+}
+
+void sha1_iterate(Sha1::Digest& digest, std::span<const std::uint8_t> suffix,
+                  std::uint16_t iterations) noexcept {
+  if (iterations == 0) return;
+  const std::size_t nblocks = iterate_blocks(suffix.size());
+  if (nblocks == 0) {
+    for (std::uint16_t i = 0; i < iterations; ++i) {
+      Sha1 h;  // Sha1::compress ticks logical + physical itself
+      h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
+      h.update(suffix);
+      digest = h.finalize();
+    }
+    return;
+  }
+
+  alignas(16) std::uint8_t buf[kMaxIterateBuf];
+  prepare_iterate_buffer(buf, suffix, nblocks);
+  std::memcpy(buf, digest.data(), Sha1::kDigestSize);
+  const Sha1CompressFn compress = sha1_single_compress();
+  for (std::uint16_t it = 0; it < iterations; ++it) {
+    std::array<std::uint32_t, 5> state = kIv;
+    for (std::size_t block = 0; block < nblocks; ++block)
+      compress(state.data(), buf + block * Sha1::kBlockSize);
+    for (int word = 0; word < 5; ++word)
+      store_be32(buf + 4 * word, state[word]);
+  }
+  std::memcpy(digest.data(), buf, Sha1::kDigestSize);
+
+  const std::uint64_t processed =
+      static_cast<std::uint64_t>(iterations) * nblocks;
+  CostMeter::add_sha1_blocks(processed);
+  CostMeter::add_sha1_physical(processed);
 }
 
 }  // namespace zh::crypto

@@ -2,8 +2,8 @@
 // sha1rnds4 runs four rounds per instruction, sha1msg1/sha1msg2 expand the
 // message schedule and sha1nexte derives the next E. Compiled with
 // -msha -msse4.1 (see src/crypto/CMakeLists.txt); the dispatcher in
-// sha1_mb.cpp only calls in here after a CPUID check.
-#include "crypto/sha1_mb.hpp"
+// sha1.cpp only calls in here after a CPUID check.
+#include "crypto/sha1.hpp"
 
 #if defined(ZH_HAVE_SHA1_SHANI)
 

@@ -1,6 +1,7 @@
 #include "dns/dnssec.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "crypto/nsec3_hash.hpp"
 #include "crypto/sha1.hpp"
@@ -67,45 +68,20 @@ bool ds_matches_key(const DsRdata& ds, const Name& owner,
   return expected.digest == ds.digest;
 }
 
-std::vector<std::uint8_t> nsec3_hash_name(const Name& name,
-                                          std::span<const std::uint8_t> salt,
-                                          std::uint16_t iterations) {
-  const std::vector<std::uint8_t> wire = name.to_canonical_wire();
-  const auto digest = crypto::nsec3_hash(
-      std::span<const std::uint8_t>(wire.data(), wire.size()), salt,
-      iterations);
-  return std::vector<std::uint8_t>(digest.begin(), digest.end());
-}
-
-std::vector<std::vector<std::uint8_t>> nsec3_hash_names(
-    std::span<const Name> names, std::span<const std::uint8_t> salt,
-    std::uint16_t iterations) {
-  std::vector<std::vector<std::uint8_t>> wires;
-  wires.reserve(names.size());
-  for (const Name& name : names) wires.push_back(name.to_canonical_wire());
-  std::vector<std::span<const std::uint8_t>> owners;
-  owners.reserve(wires.size());
-  for (const auto& wire : wires) owners.emplace_back(wire.data(), wire.size());
-
-  std::vector<crypto::Nsec3Digest> digests(names.size());
-  crypto::nsec3_hash_batch(
-      std::span<const std::span<const std::uint8_t>>(owners.data(),
-                                                     owners.size()),
-      salt, iterations, digests.data());
-
-  std::vector<std::vector<std::uint8_t>> hashes;
-  hashes.reserve(digests.size());
-  for (const auto& digest : digests)
-    hashes.emplace_back(digest.begin(), digest.end());
-  return hashes;
+crypto::Nsec3Digest nsec3_hash_name(const Name& name,
+                                    std::span<const std::uint8_t> salt,
+                                    std::uint16_t iterations) noexcept {
+  std::array<std::uint8_t, Name::kMaxWireLength> wire{};
+  const std::size_t length = name.write_canonical_wire(wire);
+  return crypto::nsec3_hash(
+      std::span<const std::uint8_t>(wire.data(), length), salt, iterations);
 }
 
 Name nsec3_owner_name(const Name& name, const Name& zone,
                       std::span<const std::uint8_t> salt,
                       std::uint16_t iterations) {
-  const auto hash = nsec3_hash_name(name, salt, iterations);
-  const std::string label = base32hex_encode(
-      std::span<const std::uint8_t>(hash.data(), hash.size()));
+  const std::string label =
+      base32hex_encode(nsec3_hash_name(name, salt, iterations));
   const auto owner = zone.prepended(label);
   // A 32-char label always fits unless the zone name is near the limit,
   // which the workload generator never produces.

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "crypto/nsec3_hash.hpp"
 #include "dns/name.hpp"
 #include "dns/rdata.hpp"
 #include "dns/rr.hpp"
@@ -33,20 +34,12 @@ DsRdata make_ds(const Name& owner, const DnskeyRdata& key,
 bool ds_matches_key(const DsRdata& ds, const Name& owner,
                     const DnskeyRdata& key);
 
-/// NSEC3 hash of `name` under the given parameters. Ticks the cost meter.
-std::vector<std::uint8_t> nsec3_hash_name(const Name& name,
-                                          std::span<const std::uint8_t> salt,
-                                          std::uint16_t iterations);
-
-/// Batched nsec3_hash_name: hashes all `names` under one parameter set
-/// through the multi-buffer SHA-1 kernel (crypto/sha1_mb.hpp), filling SIMD
-/// lanes with independent names. Digest i belongs to names[i]; digests and
-/// CostMeter *logical* accounting are identical to calling nsec3_hash_name
-/// once per name. The zone signer uses this to hash whole NSEC3 chains
-/// lane-parallel.
-std::vector<std::vector<std::uint8_t>> nsec3_hash_names(
-    std::span<const Name> names, std::span<const std::uint8_t> salt,
-    std::uint16_t iterations);
+/// NSEC3 hash of `name` under the given parameters, through
+/// crypto::nsec3_hash (and so the calling thread's digest memo). Ticks the
+/// cost meter; allocates nothing.
+crypto::Nsec3Digest nsec3_hash_name(const Name& name,
+                                    std::span<const std::uint8_t> salt,
+                                    std::uint16_t iterations) noexcept;
 
 /// The owner name of the NSEC3 record for `name` in `zone`:
 /// base32hex(hash).zone.

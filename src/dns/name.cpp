@@ -1,6 +1,7 @@
 #include "dns/name.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -133,23 +134,29 @@ std::vector<std::uint8_t> Name::to_wire() const {
 }
 
 std::vector<std::uint8_t> Name::to_canonical_wire() const {
-  std::vector<std::uint8_t> wire;
-  wire.reserve(wire_length());
+  std::array<std::uint8_t, kMaxWireLength> wire{};
+  const std::size_t length = write_canonical_wire(wire);
+  return std::vector<std::uint8_t>(wire.begin(), wire.begin() + length);
+}
+
+std::size_t Name::write_canonical_wire(
+    std::span<std::uint8_t, kMaxWireLength> out) const noexcept {
+  // The class invariant (wire length ≤ kMaxWireLength) keeps every write
+  // inside `out`.
+  std::size_t length = 0;
   for (const auto& label : labels_) {
-    wire.push_back(static_cast<std::uint8_t>(label.size()));
+    out[length++] = static_cast<std::uint8_t>(label.size());
     for (const char c : label)
-      wire.push_back(static_cast<std::uint8_t>(ascii_lower(c)));
+      out[length++] = static_cast<std::uint8_t>(ascii_lower(c));
   }
-  wire.push_back(0);
-  return wire;
+  out[length++] = 0;
+  return length;
 }
 
 void Name::append_canonical_to(std::string& out) const {
-  for (const auto& label : labels_) {
-    out.push_back(static_cast<char>(label.size()));
-    for (const char c : label) out.push_back(ascii_lower(c));
-  }
-  out.push_back('\0');
+  std::array<std::uint8_t, kMaxWireLength> wire{};
+  const std::size_t length = write_canonical_wire(wire);
+  out.append(reinterpret_cast<const char*>(wire.data()), length);
 }
 
 Name Name::canonical() const {

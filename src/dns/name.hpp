@@ -78,6 +78,11 @@ class Name {
   /// the exact input of the NSEC3 hash.
   std::vector<std::uint8_t> to_canonical_wire() const;
 
+  /// Writes the bytes of to_canonical_wire() to the front of `out` without
+  /// allocating, and returns how many (wire_length()).
+  std::size_t write_canonical_wire(
+      std::span<std::uint8_t, kMaxWireLength> out) const noexcept;
+
   /// Appends exactly the bytes of to_canonical_wire() to `out` without the
   /// temporary vector — for key builders on the hot path.
   void append_canonical_to(std::string& out) const;

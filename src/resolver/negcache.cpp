@@ -8,19 +8,9 @@ namespace {
 
 constexpr std::size_t kSha1HashLen = 20;
 
-bool hash_less(const std::vector<std::uint8_t>& a,
-               const std::vector<std::uint8_t>& b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-}
-
 bool covers(const NegCacheInterval& interval,
-            const std::vector<std::uint8_t>& h) {
-  return dns::nsec3_covers(
-      std::span<const std::uint8_t>(interval.owner_hash.data(),
-                                    interval.owner_hash.size()),
-      std::span<const std::uint8_t>(interval.next_hash.data(),
-                                    interval.next_hash.size()),
-      std::span<const std::uint8_t>(h.data(), h.size()));
+            std::span<const std::uint8_t> h) {
+  return dns::nsec3_covers(interval.owner_hash, interval.next_hash, h);
 }
 
 /// A delegation-point owner (NS without SOA) must not deny names below the
@@ -73,7 +63,7 @@ bool AggressiveNegCache::insert(const dns::Name& zone,
         interval.next_hash.size() != kSha1HashLen)
       return reject();
     if (interval.opt_out != batch_opt_out) return reject();
-    if (!hash_less(interval.owner_hash, interval.next_hash)) ++wrap_spans;
+    if (!HashLess{}(interval.owner_hash, interval.next_hash)) ++wrap_spans;
   }
   if (wrap_spans > 1) return reject();
   for (std::size_t i = 0; i < intervals.size(); ++i) {
@@ -127,7 +117,7 @@ bool AggressiveNegCache::insert(const dns::Name& zone,
 }
 
 const NegCacheInterval* AggressiveNegCache::covering(
-    const ZoneEntry& zone, const std::vector<std::uint8_t>& h) const {
+    const ZoneEntry& zone, std::span<const std::uint8_t> h) const {
   if (zone.intervals.empty()) return nullptr;
   // Candidate 1: the greatest owner ≤ h. Candidate 2: the greatest owner
   // overall — a wrap-around span's owner is its chain's maximum, so if we
@@ -135,10 +125,11 @@ const NegCacheInterval* AggressiveNegCache::covering(
   auto it = zone.intervals.upper_bound(h);
   if (it != zone.intervals.begin()) {
     const auto& candidate = std::prev(it)->second;
-    if (candidate.owner_hash != h && covers(candidate, h)) return &candidate;
+    if (!std::ranges::equal(candidate.owner_hash, h) && covers(candidate, h))
+      return &candidate;
   }
   const auto& last = std::prev(zone.intervals.end())->second;
-  if (last.owner_hash != h && covers(last, h)) return &last;
+  if (!std::ranges::equal(last.owner_hash, h) && covers(last, h)) return &last;
   return nullptr;
 }
 

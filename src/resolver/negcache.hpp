@@ -23,10 +23,12 @@
 // always produces the same hits, evictions and stats.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -114,17 +116,28 @@ class AggressiveNegCache {
   void clear();
 
  private:
+  /// Byte-string order on hashes. Transparent, so a digest looks up
+  /// without being copied into a vector.
+  struct HashLess {
+    using is_transparent = void;
+    bool operator()(std::span<const std::uint8_t> a,
+                    std::span<const std::uint8_t> b) const noexcept {
+      return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                          b.end());
+    }
+  };
+
   struct ZoneEntry {
     Nsec3CacheParams params;
     bool opt_out = false;  // pinned with the first batch
     /// Sorted by owner hash — covering-span lookups are a map search.
-    std::map<std::vector<std::uint8_t>, NegCacheInterval> intervals;
+    std::map<std::vector<std::uint8_t>, NegCacheInterval, HashLess> intervals;
   };
 
   /// The cached interval covering hash `h` (owner < h < next, chain-wrap
   /// aware), or nullptr. Exact owner matches are not "covering".
   const NegCacheInterval* covering(const ZoneEntry& zone,
-                                   const std::vector<std::uint8_t>& h) const;
+                                   std::span<const std::uint8_t> h) const;
 
   void evict_oldest_zone();
 

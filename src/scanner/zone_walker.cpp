@@ -134,12 +134,11 @@ Nsec3AttackResult Nsec3DictionaryAttack::run(
   const std::uint64_t blocks_before = crypto::CostMeter::sha1_blocks();
   const auto try_guess = [&](const Name& guess) {
     ++result.offline_hashes;
-    const auto hash = dns::nsec3_hash_name(
-        guess,
-        std::span<const std::uint8_t>(result.salt.data(), result.salt.size()),
-        result.iterations);
+    const auto digest =
+        dns::nsec3_hash_name(guess, result.salt, result.iterations);
+    std::vector<std::uint8_t> hash(digest.begin(), digest.end());
     if (hashes.count(hash) > 0) {
-      result.cracked.push_back(CrackedName{guess, hash});
+      result.cracked.push_back(CrackedName{guess, std::move(hash)});
     }
   };
   try_guess(zone);  // the apex itself is always in the chain

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/sha1_mb.hpp"
 #include "dns/dnssec.hpp"
 #include "zone/chain_memo.hpp"
 
@@ -55,24 +54,14 @@ class Nsec3ProofWriter {
 
   /// Adds the NSEC3 matching `name` (existence proof); no-op if absent.
   void add_matching(const Name& name) {
-    const auto hash = dns::nsec3_hash_name(
-        name,
-        std::span<const std::uint8_t>(params_.salt.data(),
-                                      params_.salt.size()),
-        params_.iterations);
     emit(zone_.nsec3_matching(
-        std::span<const std::uint8_t>(hash.data(), hash.size())));
+        dns::nsec3_hash_name(name, params_.salt, params_.iterations)));
   }
 
   /// Adds the NSEC3 covering `name` (absence proof); no-op if none covers.
   void add_covering(const Name& name) {
-    const auto hash = dns::nsec3_hash_name(
-        name,
-        std::span<const std::uint8_t>(params_.salt.data(),
-                                      params_.salt.size()),
-        params_.iterations);
     emit(zone_.nsec3_covering(
-        std::span<const std::uint8_t>(hash.data(), hash.size())));
+        dns::nsec3_hash_name(name, params_.salt, params_.iterations)));
   }
 
  private:
@@ -159,7 +148,6 @@ void AuthoritativeServer::set_tracer(trace::Tracer* tracer) {
     resign_metric_ = metrics.counter("server.zone_resign");
     grow_metric_ = metrics.counter("server.zone_cache_grow");
     chain_memo_metric_ = metrics.counter("server.chain_memo_hit");
-    sha1_batch_metric_ = metrics.counter("crypto.sha1_batch");
   } else {
     hit_metric_ = nullptr;
     materialise_metric_ = nullptr;
@@ -167,7 +155,6 @@ void AuthoritativeServer::set_tracer(trace::Tracer* tracer) {
     resign_metric_ = nullptr;
     grow_metric_ = nullptr;
     chain_memo_metric_ = nullptr;
-    sha1_batch_metric_ = nullptr;
   }
 }
 
@@ -184,18 +171,14 @@ std::shared_ptr<const Zone> AuthoritativeServer::lazy_zone(
   if (tracer_ != nullptr && tracer_->enabled())
     materialise_span = tracer_->span("server", "zone.materialise",
                                      apex.canonical().to_string());
-  // The chain memo and the batch kernel meter are thread-local; deltas
-  // around the provider call attribute their activity to this server.
+  // The chain memo is thread-local; a delta around the provider call
+  // attributes its hits to this server.
   const std::uint64_t memo_hits_before =
       zone::Nsec3ChainMemo::instance().stats().hits;
-  const std::uint64_t sha1_batches_before = crypto::Sha1BatchMeter::batches();
   auto zone = provider_(apex);
   if (chain_memo_metric_ != nullptr)
     *chain_memo_metric_ +=
         zone::Nsec3ChainMemo::instance().stats().hits - memo_hits_before;
-  if (sha1_batch_metric_ != nullptr)
-    *sha1_batch_metric_ +=
-        crypto::Sha1BatchMeter::batches() - sha1_batches_before;
   if (!zone) return nullptr;
   ++lazy_materialisations_;
   if (materialise_metric_ != nullptr) ++*materialise_metric_;

@@ -222,20 +222,16 @@ SigningResult sign_zone(Zone& zone, const SignerConfig& config) {
       const std::uint64_t sha2_before = crypto::CostMeter::sha2_blocks();
       const std::uint64_t nsec3_before = crypto::CostMeter::nsec3_hashes();
 
-      // Batch-hash the whole chain: the multi-buffer kernel fills SIMD
-      // lanes with independent names (dns::nsec3_hash_names).
-      const auto hashes = dns::nsec3_hash_names(
-          std::span<const Name>(chain_names.data(), chain_names.size()),
-          salt_span, config.nsec3.iterations);
-
       std::vector<Nsec3ChainEntry> entries;
       entries.reserve(chain_names.size());
       for (std::size_t i = 0; i < chain_names.size(); ++i) {
         Nsec3ChainEntry entry;
-        entry.hash = hashes[i];
-        entry.owner =
-            zone.apex().prepended(dns::base32hex_encode(std::span<const std::uint8_t>(
-                entry.hash.data(), entry.hash.size()))).value_or(zone.apex());
+        const crypto::Nsec3Digest digest = dns::nsec3_hash_name(
+            chain_names[i], salt_span, config.nsec3.iterations);
+        entry.hash.assign(digest.begin(), digest.end());
+        entry.owner = zone.apex()
+                          .prepended(dns::base32hex_encode(digest))
+                          .value_or(zone.apex());
         entry.ttl = config.nsec_ttl;
         entry.rdata.hash_algorithm = 1;
         entry.rdata.flags =

@@ -89,7 +89,7 @@ if [ ! -f "$perf_doc" ]; then
   echo "MISSING DOC: $perf_doc"
   status=1
 else
-  for token in ZH_SHA1_IMPL ZH_CHAIN_MEMO scalar ssse3 avx2 SHA-NI \
+  for token in ZH_SHA1_IMPL ZH_CHAIN_MEMO scalar SHA-NI \
                bench_micro_nsec3 bench_cve_cost bench_dos_amplification; do
     if ! grep -q "$token" "$perf_doc"; then
       echo "INCOMPLETE PERFORMANCE DOC: $perf_doc does not mention $token"

@@ -240,24 +240,28 @@ TEST(BenchFlags, FrontendPortRejectsOutOfRange) {
 }
 
 TEST(BenchFlags, Sha1ImplParsesAndForwardsToWorkers) {
-  const crypto::Sha1Impl previous = crypto::sha1_impl();
+  const bool previous = crypto::sha1_scalar_forced();
+  crypto::force_sha1_scalar(false);
 
   Argv argv({"bench", "--sha1-impl", "scalar"});
   const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
-  ASSERT_TRUE(flags.sha1_impl.has_value());
-  EXPECT_EQ(*flags.sha1_impl, crypto::Sha1Impl::kScalar);
-  EXPECT_EQ(crypto::sha1_impl(), crypto::Sha1Impl::kScalar);
+  EXPECT_TRUE(crypto::sha1_scalar_forced());
   // Worker processes must hash through the same kernel.
   EXPECT_EQ(flags.worker_args,
             (std::vector<std::string>{"--sha1-impl", "scalar"}));
 
-  // Garbage is diagnosed and ignored: the active kernel stays put.
-  Argv argv2({"bench", "--sha1-impl", "turbo"});
-  const BenchFlags garbage = parse_flags(argv2.argc(), argv2.argv());
-  EXPECT_FALSE(garbage.sha1_impl.has_value());
-  EXPECT_EQ(crypto::sha1_impl(), crypto::Sha1Impl::kScalar);
+  // Garbage, the retired batch kernel names included, is diagnosed and
+  // ignored: the active kernel stays put.
+  for (const char* garbage : {"turbo", "ssse3", "avx2"}) {
+    for (const bool scalar : {true, false}) {
+      crypto::force_sha1_scalar(scalar);
+      Argv argv2({"bench", "--sha1-impl", garbage});
+      (void)parse_flags(argv2.argc(), argv2.argv());
+      EXPECT_EQ(crypto::sha1_scalar_forced(), scalar) << garbage;
+    }
+  }
 
-  crypto::set_sha1_impl(previous);
+  crypto::force_sha1_scalar(previous);
 }
 
 TEST(BenchFlags, ChainMemoParsesAndForwardsToWorkers) {

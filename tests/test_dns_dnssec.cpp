@@ -136,7 +136,8 @@ TEST(Nsec3OwnerName, HashExtractRoundTrip) {
   const Name owner = nsec3_owner_name(name, zone, {}, 3);
   const auto hash = nsec3_owner_hash(owner, zone);
   ASSERT_TRUE(hash);
-  EXPECT_EQ(*hash, nsec3_hash_name(name, {}, 3));
+  const auto digest = nsec3_hash_name(name, {}, 3);
+  EXPECT_EQ(*hash, std::vector<std::uint8_t>(digest.begin(), digest.end()));
 }
 
 TEST(Nsec3OwnerName, HashExtractRejectsForeignZone) {

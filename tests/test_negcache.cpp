@@ -27,10 +27,9 @@ const Nsec3CacheParams kParams{.hash_algorithm = 1,
                                .salt = {0xab, 0xcd}};
 
 std::vector<std::uint8_t> hash_of(const Name& name) {
-  return dns::nsec3_hash_name(
-      name,
-      std::span<const std::uint8_t>(kParams.salt.data(), kParams.salt.size()),
-      kParams.iterations);
+  const auto digest =
+      dns::nsec3_hash_name(name, kParams.salt, kParams.iterations);
+  return std::vector<std::uint8_t>(digest.begin(), digest.end());
 }
 
 /// The full NSEC3 chain for `names` in `zone`: hash each name, sort, link

@@ -3,6 +3,7 @@
 // referrals (secure, insecure, opt-out), glue, and lazy zone hosting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "dns/dnssec.hpp"
@@ -131,7 +132,7 @@ TEST_F(ServerTest, NxdomainCarriesFullClosestEncloserProof) {
     ASSERT_TRUE(owner_hash);
     const auto rd = rr.as<dns::Nsec3Rdata>();
     ASSERT_TRUE(rd);
-    if (*owner_hash == ce_hash) ce_matched = true;
+    if (std::ranges::equal(*owner_hash, ce_hash)) ce_matched = true;
     if (dns::nsec3_covers(*owner_hash, rd->next_hash, nc_hash))
       nc_covered = true;
     if (dns::nsec3_covers(*owner_hash, rd->next_hash, wc_hash))
