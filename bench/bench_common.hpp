@@ -13,8 +13,6 @@
 //   ZH_JITTER_MS       uniform RTT jitter in ms (also --jitter MS)
 //   ZH_TRACE           trace output file (also --trace FILE; enables tracing)
 //   ZH_TRACE_FORMAT    jsonl | chrome (also --trace-format F; default jsonl)
-//   ZH_PROCS           worker processes (default 1; also --procs N; 0 = all
-//                      hardware threads) — see bench_procs.hpp
 //   ZH_MAX_INFLIGHT    concurrent resolutions per worker in the scan engine
 //                      (also --max-inflight N; default 1024)
 //   ZH_LISTEN          frontend listen address (also --listen A; zh_serve
@@ -42,11 +40,13 @@
 //                      RFC 9520's [1 s, 5 min])
 #pragma once
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,23 +70,52 @@ inline double env_double(const char* name, double fallback) {
   return value ? std::atof(value) : fallback;
 }
 
-/// Strict non-negative integer from the environment. atoll would turn
-/// ZH_RETRIES=-3 into 18446744073709551613 attempts and ZH_JOBS=banana into
-/// 0 silently; instead anything that is not a whole base-10 non-negative
-/// integer is rejected with a stderr diagnostic and the fallback is used.
+/// The one strict integer parser behind every integer env knob and flag:
+/// base-10 digits only, in [min, max]. atol turns "banana" into 0 and
+/// "12abc" into 12, and "-3" cast to an unsigned count becomes billions of
+/// retries, all silently; here each of them is nullopt.
+inline std::optional<std::uint64_t> parse_u64(
+    const char* text, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (!text || !std::isdigit(static_cast<unsigned char>(*text)))
+    return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value < min || value > max)
+    return std::nullopt;
+  return value;
+}
+
+/// Strict non-negative integer from the environment: anything parse_u64
+/// rejects is reported on stderr and the fallback is used.
 inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
   if (!value || !*value) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr,
-                 "# %s='%s' is not a non-negative integer; using %llu\n", name,
-                 value, static_cast<unsigned long long>(fallback));
-    return fallback;
+  if (const auto parsed = parse_u64(value)) return *parsed;
+  std::fprintf(stderr,
+               "# %s='%s' is not a non-negative integer; using %llu\n", name,
+               value, static_cast<unsigned long long>(fallback));
+  return fallback;
+}
+
+/// An integer flag value through parse_u64, into [min, max] ∩ T. A bad
+/// value is reported on stderr and `out` keeps its previous value; returns
+/// whether `out` was set.
+template <typename T>
+bool parse_int_flag(const char* flag, const char* text, T& out,
+                    std::uint64_t min = 0,
+                    std::uint64_t max = std::numeric_limits<T>::max()) {
+  if (const auto parsed = parse_u64(text, min, max)) {
+    out = static_cast<T>(*parsed);
+    return true;
   }
-  return static_cast<std::uint64_t>(parsed);
+  std::fprintf(stderr,
+               "# %s '%s' is not an integer in [%llu, %llu]; keeping %llu\n",
+               flag, text, static_cast<unsigned long long>(min),
+               static_cast<unsigned long long>(max),
+               static_cast<unsigned long long>(out));
+  return false;
 }
 
 /// Every bench shares one flag vocabulary (parsed by parse_flags below):
@@ -104,12 +133,12 @@ inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 ///   --port N                    frontend UDP+TCP port (0 = ephemeral)
 ///   --tcp-idle-ms MS            frontend TCP idle-reap timeout
 ///   --pending-budget N          frontend shed threshold (buffered responses)
-///   --procs N                   worker processes (0 = all hardware threads)
-///   --shard S --of K            run only process sub-shard S of K
+///   --shard S --of K            run only sub-shard S of K
 ///   --emit-shard BASE           write shard artefacts under BASE (worker
-///                               mode — implies --shard/--of)
+///                               mode — requires --shard/--of)
 ///   --merge-shards FILE...      merge existing artefacts instead of
-///                               scanning (consumes all remaining args)
+///                               scanning (consumes all remaining args);
+///                               see bench_shards.hpp for the recipe
 ///   --sha1-impl scalar          force the portable SHA-1 kernel instead
 ///                               of SHA-NI — outputs are kernel-invariant
 ///   --chain-memo N              NSEC3 chain memo capacity (0 disables it
@@ -120,6 +149,8 @@ inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 ///                               resolver — off is byte-identical to goldens
 ///   --neg-cache-cap N           aggressive-cache interval capacity
 ///   --failure-cache-ttl MS      first-failure cache TTL in milliseconds
+/// Integer values must be whole non-negative numbers in the flag's range;
+/// a bad value is reported on stderr and the previous value is kept.
 /// Unknown flags are ignored, so benches can add their own on top.
 struct BenchFlags {
   unsigned jobs = 1;
@@ -138,10 +169,9 @@ struct BenchFlags {
   std::size_t pending_budget = 512;
   std::string trace_path;
   trace::Format trace_format = trace::Format::kJsonl;
-  /// Process-level fan-out (bench_procs.hpp). 1 = in-process only.
-  unsigned procs = 1;
-  /// Worker-mode sub-shard: this process covers positions ≡ shard (mod of)
-  /// and writes artefacts under `emit_shard` instead of printing results.
+  /// Worker-mode sub-shard (bench_shards.hpp): this run covers positions
+  /// ≡ shard (mod of) and writes artefacts under `emit_shard` instead of
+  /// printing results.
   unsigned shard = 0;
   unsigned of = 0;
   std::string emit_shard;
@@ -156,11 +186,6 @@ struct BenchFlags {
   std::optional<bool> aggressive_nsec;
   std::size_t neg_cache_cap = 4096;
   std::int64_t failure_cache_ttl_ms = 5000;
-  /// This binary (argv[0]) and the arguments a worker re-exec needs —
-  /// everything parsed above minus the process-orchestration and trace
-  /// flags (workers get their sub-shard flags appended by the spawner).
-  std::string exe;
-  std::vector<std::string> worker_args;
 
   bool worker_mode() const noexcept { return !emit_shard.empty(); }
   bool merge_mode() const noexcept { return !merge_shards.empty(); }
@@ -236,9 +261,7 @@ inline std::optional<bool> parse_on_off(const char* value) {
 /// both work.
 inline BenchFlags parse_flags(int argc, char** argv) {
   BenchFlags flags;
-  if (argc > 0 && argv[0]) flags.exe = argv[0];
-  long jobs = static_cast<long>(env_u64("ZH_JOBS", 1));
-  long procs = static_cast<long>(env_u64("ZH_PROCS", 1));
+  unsigned jobs = static_cast<unsigned>(env_u64("ZH_JOBS", 1));
   flags.loss = env_double("ZH_LOSS", 0.0);
   flags.retry.attempts =
       static_cast<unsigned>(env_u64("ZH_RETRIES", flags.retry.attempts));
@@ -285,43 +308,33 @@ inline BenchFlags parse_flags(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    const int first = i;
-    // Flags a worker re-exec must NOT inherit: process orchestration (the
-    // spawner appends the right --shard/--of/--emit-shard; --procs would
-    // fork-bomb) and tracing (K workers racing for one trace file).
-    bool forward = true;
     if (const char* v = value_of(i, "--jobs")) {
-      jobs = std::atol(v);
+      parse_int_flag("--jobs", v, jobs);
     } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-      jobs = std::atol(arg + 2);
+      parse_int_flag("-j", arg + 2, jobs);
     } else if (const char* v = value_of(i, "--loss")) {
       flags.loss = std::atof(v);
     } else if (const char* v = value_of(i, "--retries")) {
-      flags.retry.attempts = static_cast<unsigned>(std::atol(v));
+      parse_int_flag("--retries", v, flags.retry.attempts);
     } else if (const char* v = value_of(i, "--timeout")) {
-      flags.retry.timeout = simtime::Duration::from_ms(std::atol(v));
+      std::int64_t ms = flags.retry.timeout.millis();
+      if (parse_int_flag("--timeout", v, ms))
+        flags.retry.timeout = simtime::Duration::from_ms(ms);
     } else if (const char* v = value_of(i, "--latency")) {
       flags.latency_ms = std::atof(v);
     } else if (const char* v = value_of(i, "--jitter")) {
       flags.jitter_ms = std::atof(v);
     } else if (const char* v = value_of(i, "--max-inflight")) {
-      const long parsed = std::atol(v);
-      if (parsed > 0) flags.max_inflight = static_cast<std::size_t>(parsed);
+      parse_int_flag("--max-inflight", v, flags.max_inflight, 1);
     } else if (const char* v = value_of(i, "--listen")) {
       flags.listen = v;
     } else if (const char* v = value_of(i, "--port")) {
-      const long parsed = std::atol(v);
-      if (parsed >= 0 && parsed <= 65535)
-        flags.port = static_cast<unsigned>(parsed);
-      else
-        std::fprintf(stderr, "# --port '%s' out of range [0, 65535]\n", v);
+      parse_int_flag("--port", v, flags.port, 0, 65535);
     } else if (const char* v = value_of(i, "--tcp-idle-ms")) {
-      flags.tcp_idle_ms = std::atol(v);
+      parse_int_flag("--tcp-idle-ms", v, flags.tcp_idle_ms);
     } else if (const char* v = value_of(i, "--pending-budget")) {
-      const long parsed = std::atol(v);
-      if (parsed > 0) flags.pending_budget = static_cast<std::size_t>(parsed);
+      parse_int_flag("--pending-budget", v, flags.pending_budget, 1);
     } else if (const char* v = value_of(i, "--trace-format")) {
-      forward = false;
       if (const auto parsed = trace::parse_format(v)) {
         flags.trace_format = *parsed;
       } else {
@@ -329,19 +342,12 @@ inline BenchFlags parse_flags(int argc, char** argv) {
                      v);
       }
     } else if (const char* v = value_of(i, "--trace")) {
-      forward = false;
       flags.trace_path = v;
-    } else if (const char* v = value_of(i, "--procs")) {
-      forward = false;
-      procs = std::atol(v);
     } else if (const char* v = value_of(i, "--shard")) {
-      forward = false;
-      flags.shard = static_cast<unsigned>(std::atol(v));
+      parse_int_flag("--shard", v, flags.shard);
     } else if (const char* v = value_of(i, "--of")) {
-      forward = false;
-      flags.of = static_cast<unsigned>(std::atol(v));
+      parse_int_flag("--of", v, flags.of);
     } else if (const char* v = value_of(i, "--emit-shard")) {
-      forward = false;
       flags.emit_shard = v;
     } else if (const char* v = value_of(i, "--sha1-impl")) {
       if (std::strcmp(v, "scalar") == 0) {
@@ -353,19 +359,10 @@ inline BenchFlags parse_flags(int argc, char** argv) {
                      v, crypto::sha1_scalar_forced() ? "scalar" : "default");
       }
     } else if (const char* v = value_of(i, "--chain-memo")) {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (errno != 0 || end == v || *end != '\0' || parsed < 0) {
-        std::fprintf(stderr,
-                     "# --chain-memo '%s' is not a non-negative integer; "
-                     "keeping %llu\n",
-                     v,
-                     static_cast<unsigned long long>(
-                         zone::Nsec3ChainMemo::default_capacity()));
-      } else {
-        flags.chain_memo = static_cast<std::size_t>(parsed);
-        zone::Nsec3ChainMemo::set_default_capacity(*flags.chain_memo);
+      std::size_t capacity = zone::Nsec3ChainMemo::default_capacity();
+      if (parse_int_flag("--chain-memo", v, capacity)) {
+        flags.chain_memo = capacity;
+        zone::Nsec3ChainMemo::set_default_capacity(capacity);
       }
     } else if (const char* v = value_of(i, "--aggressive-nsec")) {
       if (const auto parsed = parse_on_off(v)) {
@@ -374,43 +371,14 @@ inline BenchFlags parse_flags(int argc, char** argv) {
         std::fprintf(stderr, "# unknown --aggressive-nsec '%s' (on|off)\n", v);
       }
     } else if (const char* v = value_of(i, "--neg-cache-cap")) {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (errno != 0 || end == v || *end != '\0' || parsed <= 0) {
-        std::fprintf(stderr,
-                     "# --neg-cache-cap '%s' is not a positive integer; "
-                     "keeping %llu\n",
-                     v, static_cast<unsigned long long>(flags.neg_cache_cap));
-      } else {
-        flags.neg_cache_cap = static_cast<std::size_t>(parsed);
-      }
+      parse_int_flag("--neg-cache-cap", v, flags.neg_cache_cap, 1);
     } else if (const char* v = value_of(i, "--failure-cache-ttl")) {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (errno != 0 || end == v || *end != '\0' || parsed <= 0) {
-        std::fprintf(stderr,
-                     "# --failure-cache-ttl '%s' is not a positive integer "
-                     "(milliseconds); keeping %lld\n",
-                     v, static_cast<long long>(flags.failure_cache_ttl_ms));
-      } else {
-        flags.failure_cache_ttl_ms = parsed;
-      }
+      parse_int_flag("--failure-cache-ttl", v, flags.failure_cache_ttl_ms, 1);
     } else if (std::strcmp(arg, "--merge-shards") == 0) {
-      forward = false;
       for (++i; i < argc; ++i) flags.merge_shards.push_back(argv[i]);
     }
-    if (forward)
-      for (int k = first; k <= i && k < argc; ++k)
-        flags.worker_args.push_back(argv[k]);
   }
-  if (jobs < 0) jobs = 1;
-  flags.jobs =
-      jobs == 0 ? scanner::default_jobs() : static_cast<unsigned>(jobs);
-  if (procs < 0) procs = 1;
-  flags.procs =
-      procs == 0 ? scanner::default_jobs() : static_cast<unsigned>(procs);
+  flags.jobs = jobs == 0 ? scanner::default_jobs() : jobs;
   if (flags.worker_mode() && (flags.of == 0 || flags.shard >= flags.of)) {
     std::fprintf(stderr, "--emit-shard requires --shard S --of K with S < K "
                          "(got S=%u, K=%u)\n",
@@ -418,11 +386,6 @@ inline BenchFlags parse_flags(int argc, char** argv) {
     std::exit(2);
   }
   return flags;
-}
-
-/// Worker-thread count only (the historical entry point).
-inline unsigned parse_jobs(int argc, char** argv) {
-  return parse_flags(argc, argv).jobs;
 }
 
 /// Writes the merged trace when --trace/ZH_TRACE asked for one, and prints
@@ -468,7 +431,7 @@ inline void print_stage_breakdown(const BenchFlags& flags,
 
 /// Prints the RFC 8198/9520 campaign counters. Gated on --aggressive-nsec
 /// so synth-off output stays byte-identical to the goldens; the counters
-/// themselves are jobs/procs/window-invariant (per-shard metric deltas).
+/// themselves are jobs/shard/window-invariant (per-shard metric deltas).
 inline void print_aggressive_counters(const BenchFlags& flags,
                                       std::uint64_t neg_synth_hits,
                                       std::uint64_t failure_cache_hits) {

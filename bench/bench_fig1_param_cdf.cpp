@@ -10,7 +10,7 @@
 #include "analysis/export.hpp"
 #include "analysis/stats.hpp"
 #include "bench_common.hpp"
-#include "bench_procs.hpp"
+#include "bench_shards.hpp"
 
 int main(int argc, char** argv) {
   using namespace zh;

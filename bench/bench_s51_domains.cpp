@@ -7,7 +7,7 @@
 
 #include "analysis/stats.hpp"
 #include "bench_common.hpp"
-#include "bench_procs.hpp"
+#include "bench_shards.hpp"
 
 int main(int argc, char** argv) {
   using namespace zh;

@@ -5,7 +5,7 @@
 // output is bit-identical for every N (see scanner/parallel.hpp).
 #include "analysis/stats.hpp"
 #include "bench_common.hpp"
-#include "bench_procs.hpp"
+#include "bench_shards.hpp"
 
 int main(int argc, char** argv) {
   using namespace zh;

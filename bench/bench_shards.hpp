@@ -1,22 +1,20 @@
-// Process-mode dispatch for the reproduction benches.
+// Shard dispatch for the campaign benches: the multi-host seam.
 //
 // One entry point per campaign kind, wrapping the in-process parallel
-// engine with the three multi-process roles (bench_common.hpp flags):
+// engine (`--jobs`) with the two shard roles (bench_common.hpp flags):
 //
-//   * parent (--procs K): forks K workers of this binary on the first
-//     campaign of the run (workers re-run the whole main, so one spawn
-//     covers every campaign a bench issues), then merges each campaign's
-//     shard artefacts. Byte-identical to the serial and --jobs runs.
 //   * worker (--shard s --of K --emit-shard BASE): runs its sub-shard
 //     in-process, writes the artefact to BASE.c<call>.s<s> and returns
 //     nullopt — the bench skips its reporting for that campaign.
 //   * merge (--merge-shards FILE...): no scanning at all; decodes and
 //     merges previously written artefacts (from any machine).
 //
-// Parent and workers execute the same main and therefore the same
-// sequence of dispatch calls; a shared per-run call counter keeps their
-// artefact names and tags ("domain#<n>" / "sweep#<n>") aligned without
-// any coordination beyond argv.
+// Start the K workers anywhere (one per host, each at its own --jobs),
+// copy their files to one place, then merge: the output is byte-identical
+// to the serial and --jobs runs. Worker and merge runs execute the same
+// main and therefore the same sequence of dispatch calls; a per-run call
+// counter keeps their artefact names and tags ("domain#<n>" /
+// "sweep#<n>") aligned without any coordination beyond argv.
 #pragma once
 
 #include <cstdio>
@@ -26,71 +24,27 @@
 
 #include "analysis/serialize.hpp"
 #include "bench_common.hpp"
-#include "scanner/process.hpp"
 #include "scanner/serialize.hpp"
 
 namespace zh::bench {
 namespace detail {
 
-/// Campaigns issued so far by this process (parent or worker — both run
-/// the same main, so the counters advance in lockstep).
+/// Campaigns issued so far by this run (worker and merge runs execute the
+/// same main, so their counters advance in lockstep).
 inline unsigned next_call_index() {
   static unsigned calls = 0;
   return calls++;
 }
 
 [[noreturn]] inline void die(const std::string& message) {
-  std::fprintf(stderr, "bench_procs: %s\n", message.c_str());
+  std::fprintf(stderr, "bench_shards: %s\n", message.c_str());
   std::exit(1);
-}
-
-/// The parent's one-per-run worker fan-out + artefact directory. The
-/// merged files are unlinked eagerly; the directory goes at exit.
-struct ProcsSession {
-  std::string dir;
-  bool spawned = false;
-  ~ProcsSession() {
-    if (!dir.empty()) std::remove(dir.c_str());
-  }
-};
-
-inline ProcsSession& procs_session() {
-  static ProcsSession session;
-  return session;
 }
 
 /// Shard-artefact paths for one campaign: BASE.c<call>.s<shard>.
 inline std::string artefact_path(const std::string& base, unsigned call,
                                  unsigned shard) {
   return base + ".c" + std::to_string(call) + ".s" + std::to_string(shard);
-}
-
-/// Ensures the K workers have run (first campaign only) and returns this
-/// campaign's artefact paths.
-inline std::vector<std::string> run_workers_once(const BenchFlags& flags,
-                                                 unsigned call) {
-  ProcsSession& session = procs_session();
-  if (!session.spawned) {
-    if (flags.trace_enabled()) {
-      std::fprintf(stderr,
-                   "# --trace is per-process; ignored under --procs %u "
-                   "(run with --jobs for a merged trace)\n",
-                   flags.procs);
-    }
-    std::string error;
-    session.dir = scanner::make_shard_dir(error);
-    if (session.dir.empty()) detail::die(error);
-    if (!scanner::spawn_shard_workers(flags.exe, flags.worker_args,
-                                      flags.procs, session.dir + "/shard",
-                                      error))
-      detail::die(error);
-    session.spawned = true;
-  }
-  std::vector<std::string> paths;
-  paths.reserve(flags.procs);
-  for (unsigned shard = 0; shard < flags.procs; ++shard)
-    paths.push_back(artefact_path(session.dir + "/shard", call, shard));
-  return paths;
 }
 
 template <typename Result, typename Artefact, typename RunFn, typename FillFn>
@@ -120,13 +74,6 @@ std::optional<Result> dispatch(
     if (!analysis::write_bytes_file(path, scanner::encode_artefact(artefact)))
       die(path + ": cannot write shard artefact");
     return std::nullopt;
-  }
-  if (flags.procs > 1) {
-    const std::vector<std::string> paths = run_workers_once(flags, call);
-    Result out;
-    if (!merge(paths, tag, out, error)) die(error);
-    for (const auto& path : paths) std::remove(path.c_str());
-    return out;
   }
   return run();
 }

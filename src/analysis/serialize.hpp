@@ -1,6 +1,6 @@
 // Canonical binary codec for the mergeable analysis aggregates.
 //
-// Multi-process campaigns (scanner/process.hpp) ship per-shard statistics
+// Multi-host campaigns (scanner/serialize.hpp) ship per-shard statistics
 // through files, so the encoding must be *canonical*: the same aggregate
 // always serialises to the same bytes, on every platform. The format is
 // little-endian, length-prefixed, and versioned; decoding is strict —

@@ -41,11 +41,8 @@ std::uint16_t bound_port(int fd) {
 
 }  // namespace
 
-Frontend::Frontend(Dispatch dispatch, FrontendConfig config,
-                   trace::Tracer* tracer)
-    : dispatch_(std::move(dispatch)),
-      config_(std::move(config)),
-      tracer_(tracer) {}
+Frontend::Frontend(Dispatch dispatch, FrontendConfig config)
+    : dispatch_(std::move(dispatch)), config_(std::move(config)) {}
 
 Frontend::~Frontend() {
   for (auto& [fd, conn] : connections_) {
@@ -60,12 +57,6 @@ Frontend::~Frontend() {
   }
   if (udp_fd_ >= 0) ::close(udp_fd_);
   if (tcp_fd_ >= 0) ::close(tcp_fd_);
-}
-
-void Frontend::count(std::uint64_t FrontendCounters::* field,
-                     const char* metric, std::uint64_t n) {
-  counters_.*field += n;
-  if (tracer_) tracer_->count(metric, n);
 }
 
 bool Frontend::bind_pair() {
@@ -133,35 +124,26 @@ void Frontend::schedule_reap() {
 
 std::optional<Frontend::Served> Frontend::serve(
     std::span<const std::uint8_t> wire, bool tcp) {
-  count(&FrontendCounters::rx_bytes, "net.rx_bytes", wire.size());
+  counters_.rx_bytes += wire.size();
   dns::DecodeResult decoded = dns::Message::decode(wire);
   if (!decoded.message) {
-    count(&FrontendCounters::malformed, "net.malformed");
-    if (tracer_ && tracer_->enabled())
-      tracer_->instant("net", "malformed", dns::to_string(decoded.error));
+    ++counters_.malformed;
     return std::nullopt;
   }
   dns::Message& query = *decoded.message;
-  count(tcp ? &FrontendCounters::tcp_queries : &FrontendCounters::udp_queries,
-        tcp ? "net.rx_tcp" : "net.rx_udp");
+  ++(tcp ? counters_.tcp_queries : counters_.udp_queries);
   if (pending_ >= config_.pending_budget) {
     // Same shape as a simtime::ServiceQueue shed on the virtual path.
-    count(&FrontendCounters::shed, "net.shed");
+    ++counters_.shed;
     dns::Message shed = dns::Message::make_response(query);
     shed.header.rcode = dns::Rcode::kServFail;
     if (shed.edns)
       shed.edns->add_ede(dns::EdeCode::kNetworkError, "server overloaded");
     return Served{std::move(query), std::move(shed)};
   }
-  trace::Span span;
-  if (tracer_ && tracer_->enabled()) {
-    const dns::Question* q = query.question();
-    span = tracer_->span("net", tcp ? "serve.tcp" : "serve.udp",
-                         q ? q->name.to_string() : std::string{});
-  }
   std::optional<dns::Message> response = dispatch_(query);
   if (!response) {
-    count(&FrontendCounters::dropped, "net.dropped");
+    ++counters_.dropped;
     return std::nullopt;
   }
   return Served{std::move(query), *std::move(response)};
@@ -187,7 +169,7 @@ std::vector<std::uint8_t> Frontend::udp_response_wire(const dns::Message& query,
   truncated.header.rcode = response.header.rcode;
   truncated.header.aa = response.header.aa;
   truncated.header.tc = true;
-  count(&FrontendCounters::truncated, "net.truncated");
+  ++counters_.truncated;
   return truncated.to_wire();
 }
 
@@ -205,13 +187,12 @@ void Frontend::on_udp_readable() {
     if (!served) continue;
     std::vector<std::uint8_t> wire =
         udp_response_wire(served->query, std::move(served->response));
-    count(&FrontendCounters::responses, "net.responses");
+    ++counters_.responses;
     const ssize_t sent =
         ::sendto(udp_fd_, wire.data(), wire.size(), 0,
                  reinterpret_cast<const sockaddr*>(&peer), peer_len);
     if (sent >= 0) {
-      count(&FrontendCounters::tx_bytes, "net.tx_bytes",
-            static_cast<std::uint64_t>(sent));
+      counters_.tx_bytes += static_cast<std::uint64_t>(sent);
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -237,8 +218,7 @@ void Frontend::on_udp_writable() {
     if (sent < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
     } else {
-      count(&FrontendCounters::tx_bytes, "net.tx_bytes",
-            static_cast<std::uint64_t>(sent));
+      counters_.tx_bytes += static_cast<std::uint64_t>(sent);
     }
     udp_out_.pop_front();
     --pending_;
@@ -255,7 +235,7 @@ void Frontend::on_accept() {
     if (config_.tcp_sndbuf > 0)
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.tcp_sndbuf,
                    sizeof config_.tcp_sndbuf);
-    count(&FrontendCounters::tcp_accepts, "net.tcp_accept");
+    ++counters_.tcp_accepts;
     Connection conn;
     conn.fd = fd;
     conn.last_active_ms = EventLoop::now_ms();
@@ -312,7 +292,7 @@ void Frontend::parse_frames(Connection& conn) {
     if (length == 0 || length > kMaxTcpFrame) {
       // A zero-length frame cannot hold a DNS header: the stream is not
       // speaking RFC 1035 §4.2.2 — drop the connection.
-      count(&FrontendCounters::malformed, "net.malformed");
+      ++counters_.malformed;
       stop_serving(conn);
       return;
     }
@@ -322,7 +302,7 @@ void Frontend::parse_frames(Connection& conn) {
     offset += 2 + length;
     auto served = serve(frame, /*tcp=*/true);
     if (!served) continue;  // malformed frames keep the stream: framing held
-    count(&FrontendCounters::responses, "net.responses");
+    ++counters_.responses;
     enqueue_tcp(conn, served->response.to_wire());
     if (conn.fd < 0) return;  // the peer is gone; the frames behind are moot
   }
@@ -358,8 +338,7 @@ bool Frontend::flush_tcp(Connection& conn) {
       return false;  // connection broken
     }
     conn.out_offset += static_cast<std::size_t>(n);
-    count(&FrontendCounters::tx_bytes, "net.tx_bytes",
-          static_cast<std::uint64_t>(n));
+    counters_.tx_bytes += static_cast<std::uint64_t>(n);
   }
   conn.out.clear();
   conn.out_offset = 0;
@@ -386,7 +365,7 @@ void Frontend::close_connection(int fd, bool reaped) {
   loop_->remove(fd);
   ::close(fd);
   connections_.erase(it);
-  if (reaped) count(&FrontendCounters::tcp_reaped, "net.tcp_reap");
+  if (reaped) ++counters_.tcp_reaped;
 }
 
 void Frontend::maybe_finish_drain() {

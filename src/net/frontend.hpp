@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "dns/message.hpp"
-#include "trace/trace.hpp"
 
 namespace zh::net {
 
@@ -74,8 +73,8 @@ struct FrontendConfig {
   int tcp_sndbuf = 0;
 };
 
-/// Plain counters for tests and the zh_serve exit report. The same events
-/// tick `net.*` metrics on the attached tracer.
+/// The frontend's one counter store: read by tests, perfbench and the
+/// zh_serve exit report.
 struct FrontendCounters {
   std::uint64_t udp_queries = 0;   // well-formed queries received over UDP
   std::uint64_t tcp_queries = 0;   // well-formed queries received over TCP
@@ -92,8 +91,7 @@ struct FrontendCounters {
 
 class Frontend {
  public:
-  explicit Frontend(Dispatch dispatch, FrontendConfig config = {},
-                    trace::Tracer* tracer = nullptr);
+  explicit Frontend(Dispatch dispatch, FrontendConfig config = {});
   ~Frontend();
   Frontend(const Frontend&) = delete;
   Frontend& operator=(const Frontend&) = delete;
@@ -156,12 +154,9 @@ class Frontend {
   void maybe_finish_drain();
   void drain_tick();
   std::size_t pending_responses() const noexcept { return pending_; }
-  void count(std::uint64_t FrontendCounters::* field, const char* metric,
-             std::uint64_t n = 1);
 
   Dispatch dispatch_;
   FrontendConfig config_;
-  trace::Tracer* tracer_ = nullptr;
   EventLoop* loop_ = nullptr;
   int udp_fd_ = -1;
   int tcp_fd_ = -1;

@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
       [&](const dns::Message& query) {
         return network.send_tcp(wire_client, endpoint, query);
       },
-      config, &network.tracer());
+      config);
   if (!frontend.start(loop)) {
     std::fprintf(stderr, "frontend start failed: %s\n",
                  frontend.error().c_str());

@@ -76,7 +76,7 @@ struct DomainCampaignStats {
 
   /// RFC 8198 / RFC 9520 activity of the scan resolver during this shard
   /// (per-shard metric deltas, so sums over shards equal the serial run —
-  /// jobs/procs/window-invariant). Zero unless the scan resolver's profile
+  /// jobs/shard/window-invariant). Zero unless the scan resolver's profile
   /// enables the respective cache.
   std::uint64_t neg_synth_hits = 0;
   std::uint64_t failure_cache_hits = 0;

@@ -85,13 +85,13 @@ struct ParallelOptions {
   Engine engine = Engine::kAsync;
   /// Concurrent resolutions per worker; unobservable in every artefact.
   std::size_t max_inflight = 1024;
-  /// Process-level sub-sharding (scanner/process.hpp): this run covers
-  /// only the campaign positions j ≡ shard_index (mod shard_count) of the
-  /// serial visit order. Worker thread t then covers the global residue
-  /// shard_index + shard_count·t of a shard_count·jobs-way partition, so
-  /// K processes × J threads tile the work list exactly like one process
-  /// at --jobs K·J — which is what keeps process-mode campaigns
-  /// bit-identical to in-process ones. Default: the whole campaign.
+  /// Sub-shard of a multi-host campaign (scanner/serialize.hpp): this run
+  /// covers only the campaign positions j ≡ shard_index (mod shard_count)
+  /// of the serial visit order. Worker thread t then covers the global
+  /// residue shard_index + shard_count·t of a shard_count·jobs-way
+  /// partition, so K sub-shard runs × J threads tile the work list exactly
+  /// like one run at --jobs K·J — which is what keeps merged shard files
+  /// bit-identical to in-process runs. Default: the whole campaign.
   unsigned shard_index = 0;
   unsigned shard_count = 1;
   /// Forwarded to DomainCampaign::run_shard.

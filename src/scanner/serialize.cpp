@@ -1,5 +1,10 @@
 #include "scanner/serialize.hpp"
 
+#include <algorithm>
+#include <map>
+
+#include "crypto/cost_meter.hpp"
+
 namespace zh::scanner {
 namespace {
 
@@ -387,6 +392,134 @@ bool peek_artefact(std::span<const std::uint8_t> data, ArtefactKind& kind,
     return false;
   }
   kind = static_cast<ArtefactKind>(raw_kind);
+  return true;
+}
+
+namespace {
+
+/// Loads + decodes one artefact file as kind T; returns 1 on tag/kind
+/// mismatch ("skip"), 0 on success, -1 on failure (error set).
+template <typename Artefact>
+int load_artefact(const std::string& path, ArtefactKind want_kind,
+                  const std::string& tag, Artefact& out, std::string& error) {
+  const auto bytes = analysis::read_bytes_file(path);
+  if (!bytes) {
+    error = path + ": cannot read";
+    return -1;
+  }
+  ArtefactKind kind;
+  std::string file_tag;
+  analysis::DecodeError decode_error;
+  if (!peek_artefact(*bytes, kind, file_tag, decode_error)) {
+    error = path + ": " + decode_error.to_string();
+    return -1;
+  }
+  if (kind != want_kind || file_tag != tag) return 1;
+  if (!decode_artefact(*bytes, out, decode_error)) {
+    error = path + ": " + decode_error.to_string();
+    return -1;
+  }
+  return 0;
+}
+
+/// Collects the matching artefacts into a complete, consistent shard set
+/// keyed by shard id (every shard 0..of-1 exactly once, same of/jobs).
+template <typename Artefact>
+bool collect_shards(const std::vector<std::string>& paths,
+                    ArtefactKind want_kind, const std::string& tag,
+                    std::map<std::uint32_t, Artefact>& out,
+                    std::string& error) {
+  std::uint32_t of = 0, jobs = 0;
+  for (const auto& path : paths) {
+    Artefact artefact;
+    const int status =
+        load_artefact(path, want_kind, tag, artefact, error);
+    if (status < 0) return false;
+    if (status > 0) continue;  // foreign tag/kind — another call's shard
+    if (out.empty()) {
+      of = artefact.of;
+      jobs = artefact.jobs;
+    } else if (artefact.of != of || artefact.jobs != jobs) {
+      error = path + ": inconsistent shard set (of=" +
+              std::to_string(artefact.of) + "/" + std::to_string(artefact.jobs)
+              + " jobs, expected " + std::to_string(of) + "/" +
+              std::to_string(jobs) + ")";
+      return false;
+    }
+    if (!out.emplace(artefact.shard, std::move(artefact)).second) {
+      error = path + ": duplicate shard " + std::to_string(artefact.shard);
+      return false;
+    }
+  }
+  if (out.empty()) {
+    error = "no shard artefact matches tag '" + tag + "'";
+    return false;
+  }
+  if (out.size() != of) {
+    error = "incomplete shard set for tag '" + tag + "': " +
+            std::to_string(out.size()) + " of " + std::to_string(of);
+    return false;
+  }
+  return true;
+}
+
+void accumulate(CostTally& into, const CostTally& from) {
+  into.sha1_blocks += from.sha1_blocks;
+  into.sha2_blocks += from.sha2_blocks;
+  into.nsec3_hashes += from.nsec3_hashes;
+}
+
+/// Same contract as the in-process engine: the merged result credits the
+/// shards' hash work to the calling thread's meter.
+void credit_caller(const CostTally& cost) {
+  crypto::CostMeter::add_sha1_blocks(cost.sha1_blocks);
+  crypto::CostMeter::add_sha2_blocks(cost.sha2_blocks);
+  crypto::CostMeter::add_nsec3_hashes(cost.nsec3_hashes);
+}
+
+}  // namespace
+
+bool merge_domain_shards(const std::vector<std::string>& paths,
+                         const std::string& tag, ParallelCampaignResult& out,
+                         std::string& error) {
+  std::map<std::uint32_t, DomainShardArtefact> shards;
+  if (!collect_shards(paths, ArtefactKind::kDomainCampaign, tag, shards,
+                      error))
+    return false;
+  out = {};
+  for (auto& [shard, artefact] : shards) {
+    out.stats.merge(artefact.stats);
+    out.records.insert(out.records.end(), artefact.records.begin(),
+                       artefact.records.end());
+    out.queries_issued += artefact.queries_issued;
+    accumulate(out.cost, artefact.cost);
+    out.jobs = artefact.of * artefact.jobs;
+  }
+  // Shards interleave by position, exactly as the thread engine's do.
+  std::sort(out.records.begin(), out.records.end(),
+            [](const CompactDomainRecord& a, const CompactDomainRecord& b) {
+              return a.index < b.index;
+            });
+  credit_caller(out.cost);
+  return true;
+}
+
+bool merge_sweep_shards(const std::vector<std::string>& paths,
+                        const std::string& tag, ParallelSweepResult& out,
+                        std::string& error) {
+  std::map<std::uint32_t, SweepShardArtefact> shards;
+  if (!collect_shards(paths, ArtefactKind::kResolverSweep, tag, shards,
+                      error))
+    return false;
+  out = {};
+  for (auto& [shard, artefact] : shards) {
+    out.stats.merge(artefact.stats);
+    out.queries_issued += artefact.queries_issued;
+    out.population += artefact.population;
+    accumulate(out.cost, artefact.cost);
+    out.jobs = artefact.of * artefact.jobs;
+  }
+  credit_caller(out.cost);
   return true;
 }
 

@@ -1,12 +1,17 @@
-// Shard-artefact serialisation for multi-process campaigns.
+// Shard artefacts: the multi-host seam of the campaign engine.
 //
-// scanner/process.hpp scales the parallel engine past one process (and,
-// via copied files, past one machine): each worker process runs shard
-// s-of-K and writes its aggregates to a file; the parent decodes and
-// merges them through the same merge algebra the in-process engine uses.
-// This header defines the canonical byte layout of everything a shard
-// must ship — campaign/sweep statistics, per-domain records, the hash-
-// work tally — plus the versioned, checksummed artefact envelope.
+// One box scales with threads (scanner/parallel.hpp, `--jobs`). Past one
+// box, each host runs sub-shard s of K (`--shard s --of K --emit-shard
+// BASE` on the campaign benches) and writes its aggregates to a file; any
+// host then merges the files (`--merge-shards FILE...`) through the same
+// merge algebra the in-process engine uses, so
+//
+//     serial run ≡ --jobs K in-process ≡ K emitted shards, merged,
+//
+// byte-identical stats, records and query counts. This header defines the
+// canonical byte layout of everything a shard must ship — campaign/sweep
+// statistics, per-domain records, the hash-work tally — the versioned,
+// checksummed artefact envelope, and the merge of a shard set.
 //
 // Format (all integers little-endian, see analysis/serialize.hpp):
 //
@@ -42,13 +47,13 @@ enum class ArtefactKind : std::uint8_t {
   kResolverSweep = 2,
 };
 
-/// Everything one worker process contributes to a domain campaign.
+/// Everything one sub-shard run contributes to a domain campaign.
 struct DomainShardArtefact {
   std::string tag;
   std::uint32_t shard = 0;
   std::uint32_t of = 1;
-  /// Worker threads *inside* the process (the artefact covers residues
-  /// shard, shard+of, ... of the of×jobs-way global partition).
+  /// Worker threads *inside* the sub-shard run (the artefact covers
+  /// residues shard, shard+of, ... of the of×jobs-way global partition).
   std::uint32_t jobs = 1;
   DomainCampaignStats stats;
   std::vector<CompactDomainRecord> records;
@@ -56,7 +61,7 @@ struct DomainShardArtefact {
   CostTally cost;
 };
 
-/// Everything one worker process contributes to a resolver sweep.
+/// Everything one sub-shard run contributes to a resolver sweep.
 struct SweepShardArtefact {
   std::string tag;
   std::uint32_t shard = 0;
@@ -98,5 +103,21 @@ bool decode_artefact(std::span<const std::uint8_t> data,
 /// decoder. false ⇒ not a (readable) shard artefact.
 bool peek_artefact(std::span<const std::uint8_t> data, ArtefactKind& kind,
                    std::string& tag, analysis::DecodeError& error);
+
+/// Decodes the artefact files and merges every shard whose tag matches
+/// `tag` into one campaign result (stats/records/queries/cost summed
+/// through the merge algebra, records re-sorted into serial order, shard
+/// hash work credited to the calling thread's CostMeter, jobs = of ×
+/// per-shard jobs). Requires a complete, consistent shard set for the
+/// tag: every shard 0..of-1 exactly once, all agreeing on `of`. Files
+/// with foreign tags are skipped, so a mixed pile (e.g. all four Figure 3
+/// panels) can be handed to every merge call. False + `error` on any
+/// read, decode or consistency failure.
+bool merge_domain_shards(const std::vector<std::string>& paths,
+                         const std::string& tag, ParallelCampaignResult& out,
+                         std::string& error);
+bool merge_sweep_shards(const std::vector<std::string>& paths,
+                        const std::string& tag, ParallelSweepResult& out,
+                        std::string& error);
 
 }  // namespace zh::scanner

@@ -163,7 +163,10 @@ std::string Collector::to_jsonl() const {
       out += "_ns\":";
       append_i64(out, trace.stage_ns[i]);
     }
+    // Zero counters are omitted, like zero flow/sha1/depth on event lines:
+    // registering a metric that this shard never ticks changes no byte.
     for (const auto& [counter, value] : trace.counters) {
+      if (value == 0) continue;
       out += ",\"";
       append_escaped(out, counter);
       out += "\":";

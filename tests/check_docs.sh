@@ -7,7 +7,7 @@
 #   3. every page under docs/ is reachable: linked from at least one
 #      other markdown file (no orphan documentation);
 #   4. docs/PERFORMANCE.md exists and covers the crypto fast-path
-#      surface: both knobs, all three SHA-1 kernels, and the benches
+#      surface: both knobs, both SHA-1 kernels, and the benches
 #      whose output the logical-cost contract protects.
 # Exits non-zero with one line per violation.
 set -u

@@ -3,7 +3,7 @@
 // flight) is the reference, and every window and jobs value must produce
 // BYTE-IDENTICAL campaign artefacts to it — not merely equal aggregates —
 // for every tested transport shape (clean, loss + jitter + service time,
-// queueing, event tracing), for sweeps, and composed with process-level
+// queueing, event tracing), for sweeps, and composed with multi-host
 // sub-sharding. The oracle is the canonical shard codec
 // (scanner/serialize.hpp): two runs agree iff their encoded artefacts are
 // the same bytes, which covers stats, ECDF histograms, per-domain records,
@@ -23,8 +23,8 @@
 
 #include "scanner/async_engine.hpp"
 #include "scanner/parallel.hpp"
-#include "scanner/process.hpp"
 #include "scanner/serialize.hpp"
+#include "shard_dir.hpp"
 #include "simnet/exchange.hpp"
 #include "workload/resolver_population.hpp"
 
@@ -244,7 +244,7 @@ TEST(AsyncEngineEquivalence, TimeShapedSweepBytesMatch) {
   EXPECT_GT(serial.stats.stop_answering, 0u);  // droppers really time out
 }
 
-// Composition with process-level sub-sharding (--procs): two sub-shard
+// Composition with sub-sharding (--shard/--of/--emit-shard): two sub-shard
 // runs at different windows, serialised through the real artefact files and
 // merged by merge_domain_shards, reproduce the serial campaign
 // byte-for-byte. Each sub-shard runs jobs=1 so the two runs build exactly
@@ -263,9 +263,9 @@ TEST(AsyncEngineEquivalence, ProcsComposedShardsMergeToSerial) {
   const ParallelCampaignResult serial =
       run_domain_campaign_parallel(spec, factory, baseline_options);
 
-  std::string error;
-  const std::string dir = make_shard_dir(error);
-  ASSERT_FALSE(dir.empty()) << error;
+  const ShardDir shard_dir;
+  const std::string& dir = shard_dir.path();
+  ASSERT_FALSE(dir.empty());
 
   std::vector<std::string> paths;
   for (unsigned shard = 0; shard < 2; ++shard) {
@@ -299,6 +299,7 @@ TEST(AsyncEngineEquivalence, ProcsComposedShardsMergeToSerial) {
   }
 
   ParallelCampaignResult merged;
+  std::string error;
   ASSERT_TRUE(merge_domain_shards(paths, "equiv", merged, error)) << error;
   EXPECT_EQ(merged.jobs, 2u);
   expect_same(serial.stats, merged.stats);

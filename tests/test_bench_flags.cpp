@@ -1,10 +1,11 @@
 // Tests for the shared bench flag vocabulary (bench/bench_common.hpp):
 // every parsed flag must land in BenchFlags AND survive the apply()
 // hand-off into scanner::ParallelOptions (--trace-format once fell
-// through that gap), and environment parsing must reject garbage instead
-// of atoll-ing it into surprising numbers.
+// through that gap), and environment and flag parsing must reject garbage
+// instead of atoll-ing it into surprising numbers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -55,7 +56,6 @@ TEST(BenchFlags, EveryFlagLandsInFlagsAndOptions) {
   EXPECT_DOUBLE_EQ(flags.jitter_ms, 4.0);
   EXPECT_EQ(flags.trace_path, "/tmp/t.jsonl");
   EXPECT_EQ(flags.trace_format, trace::Format::kChrome);
-  EXPECT_EQ(flags.exe, "bench");
 
   // The apply() hand-off: nothing parsed may stop short of the engine.
   scanner::ParallelOptions options{.base_seed = 7};
@@ -78,10 +78,6 @@ TEST(BenchFlags, MaxInflightLandsInFlagsAndOptions) {
   scanner::ParallelOptions options;
   flags.apply(options);
   EXPECT_EQ(options.max_inflight, 256u);
-
-  // Workers inherit the window (it applies per worker process).
-  EXPECT_EQ(flags.worker_args,
-            (std::vector<std::string>{"--max-inflight", "256"}));
 
   Argv argv2({"bench"});
   EXPECT_EQ(parse_flags(argv2.argc(), argv2.argv()).max_inflight, 1024u);
@@ -108,6 +104,11 @@ TEST(BenchFlags, EqualsFormAndShortJobsWork) {
 
   Argv argv2({"bench", "-j6"});
   EXPECT_EQ(parse_flags(argv2.argc(), argv2.argv()).jobs, 6u);
+
+  // 0 means one worker per hardware thread.
+  Argv argv3({"bench", "--jobs=0"});
+  EXPECT_EQ(parse_flags(argv3.argc(), argv3.argv()).jobs,
+            scanner::default_jobs());
 }
 
 TEST(BenchFlags, WorkerModeFlagsApplyAsSubShard) {
@@ -135,23 +136,87 @@ TEST(BenchFlags, MergeShardsConsumesRemainingArguments) {
             (std::vector<std::string>{"a.bin", "b.bin", "c.bin"}));
 }
 
-TEST(BenchFlags, WorkerArgsExcludeOrchestrationAndTraceFlags) {
-  Argv argv({"bench", "--jobs", "2", "--procs", "4", "--loss", "0.1",
-             "--trace", "/tmp/t", "--trace-format", "chrome", "--retries=7"});
-  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
-  EXPECT_EQ(flags.procs, 4u);
-  // Workers inherit workload flags, never fan-out or trace flags.
-  EXPECT_EQ(flags.worker_args, (std::vector<std::string>{
-                                   "--jobs", "2", "--loss", "0.1",
-                                   "--retries=7"}));
-}
+TEST(BenchFlags, IntegerFlagsRejectGarbageAndKeepThePreviousValue) {
+  // Every integer flag goes through the one strict parser: garbage, a
+  // negative number or trailing junk is reported on stderr and leaves the
+  // previous value, in both the `--flag V` and the `--flag=V` form.
+  struct IntegerFlag {
+    std::string name;
+    std::string valid;
+    std::uint64_t (*read)(const BenchFlags&);
+  };
+  const std::vector<IntegerFlag> table = {
+      {"--jobs", "3", [](const BenchFlags& f) -> std::uint64_t { return f.jobs; }},
+      {"-j", "5", [](const BenchFlags& f) -> std::uint64_t { return f.jobs; }},
+      {"--retries", "5",
+       [](const BenchFlags& f) -> std::uint64_t { return f.retry.attempts; }},
+      {"--timeout", "1500",
+       [](const BenchFlags& f) -> std::uint64_t {
+         return static_cast<std::uint64_t>(f.retry.timeout.millis());
+       }},
+      {"--max-inflight", "256",
+       [](const BenchFlags& f) -> std::uint64_t { return f.max_inflight; }},
+      {"--port", "5353",
+       [](const BenchFlags& f) -> std::uint64_t { return f.port; }},
+      {"--tcp-idle-ms", "2500",
+       [](const BenchFlags& f) -> std::uint64_t {
+         return static_cast<std::uint64_t>(f.tcp_idle_ms);
+       }},
+      {"--pending-budget", "64",
+       [](const BenchFlags& f) -> std::uint64_t { return f.pending_budget; }},
+      {"--shard", "1", [](const BenchFlags& f) -> std::uint64_t { return f.shard; }},
+      {"--of", "3", [](const BenchFlags& f) -> std::uint64_t { return f.of; }},
+      {"--chain-memo", "128",
+       [](const BenchFlags& f) -> std::uint64_t {
+         return f.chain_memo.value_or(~std::uint64_t{0});
+       }},
+      {"--neg-cache-cap", "512",
+       [](const BenchFlags& f) -> std::uint64_t { return f.neg_cache_cap; }},
+      {"--failure-cache-ttl", "2000",
+       [](const BenchFlags& f) -> std::uint64_t {
+         return static_cast<std::uint64_t>(f.failure_cache_ttl_ms);
+       }},
+  };
+  const auto parse = [](const std::string& flag, const std::string& value,
+                        bool equals) {
+    std::vector<std::string> args{"bench"};
+    if (flag == "-j") {
+      args.push_back(flag + value);
+    } else if (equals) {
+      args.push_back(flag + "=" + value);
+    } else {
+      args.push_back(flag);
+      args.push_back(value);
+    }
+    Argv argv(args);
+    return parse_flags(argv.argc(), argv.argv());
+  };
+  const std::size_t memo_capacity = zone::Nsec3ChainMemo::default_capacity();
+  const bool digest_memo = crypto::Nsec3DigestMemo::enabled();
 
-TEST(BenchFlags, ProcsZeroMeansAllHardwareThreads) {
-  Argv argv({"bench", "--procs", "0"});
-  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
-  EXPECT_EQ(flags.procs, scanner::default_jobs());
-  Argv argv2({"bench", "--procs", "-3"});
-  EXPECT_EQ(parse_flags(argv2.argc(), argv2.argv()).procs, 1u);
+  Argv none({"bench"});
+  const BenchFlags defaults = parse_flags(none.argc(), none.argv());
+  for (const IntegerFlag& flag : table) {
+    SCOPED_TRACE(flag.name);
+    const std::uint64_t previous = flag.read(defaults);
+    for (const bool equals : {false, true}) {
+      SCOPED_TRACE(equals ? "--flag=V" : "--flag V");
+      for (const char* bad : {"banana", "-3", "12abc"}) {
+        ::testing::internal::CaptureStderr();
+        const BenchFlags flags = parse(flag.name, bad, equals);
+        const std::string diagnostic =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(flag.read(flags), previous) << bad;
+        EXPECT_NE(diagnostic.find(flag.name), std::string::npos) << bad;
+      }
+      const std::uint64_t valid = std::stoull(flag.valid);
+      ASSERT_NE(valid, previous);
+      EXPECT_EQ(flag.read(parse(flag.name, flag.valid, equals)), valid);
+    }
+  }
+
+  zone::Nsec3ChainMemo::set_default_capacity(memo_capacity);
+  crypto::Nsec3DigestMemo::set_enabled(digest_memo);
 }
 
 TEST(BenchEnv, RejectsNegativeAndGarbageIntegers) {
@@ -174,20 +239,11 @@ TEST(BenchEnv, RejectsNegativeAndGarbageIntegers) {
   EXPECT_EQ(env_u64("ZH_TEST_U64_UNSET", 5), 5u);
 }
 
-TEST(BenchEnv, BadRetriesAndProcsFallBackToDefaults) {
-  {
-    EnvVar retries("ZH_RETRIES", "-2");
-    EnvVar procs("ZH_PROCS", "nope");
-    Argv argv({"bench"});
-    const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
-    EXPECT_EQ(flags.retry.attempts, simtime::RetryPolicy{}.attempts);
-    EXPECT_EQ(flags.procs, 1u);
-  }
-  {
-    EnvVar procs("ZH_PROCS", "3");
-    Argv argv({"bench"});
-    EXPECT_EQ(parse_flags(argv.argc(), argv.argv()).procs, 3u);
-  }
+TEST(BenchEnv, BadRetriesFallBackToDefault) {
+  EnvVar retries("ZH_RETRIES", "-2");
+  Argv argv({"bench"});
+  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
+  EXPECT_EQ(flags.retry.attempts, simtime::RetryPolicy{}.attempts);
 }
 
 TEST(BenchFlags, FrontendFlagsParseBothForms) {
@@ -244,11 +300,8 @@ TEST(BenchFlags, Sha1ImplParsesAndForwardsToWorkers) {
   crypto::force_sha1_scalar(false);
 
   Argv argv({"bench", "--sha1-impl", "scalar"});
-  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
+  (void)parse_flags(argv.argc(), argv.argv());
   EXPECT_TRUE(crypto::sha1_scalar_forced());
-  // Worker processes must hash through the same kernel.
-  EXPECT_EQ(flags.worker_args,
-            (std::vector<std::string>{"--sha1-impl", "scalar"}));
 
   // Garbage, the retired batch kernel names included, is diagnosed and
   // ignored: the active kernel stays put.
@@ -275,8 +328,6 @@ TEST(BenchFlags, ChainMemoParsesAndForwardsToWorkers) {
   EXPECT_EQ(zone::Nsec3ChainMemo::default_capacity(), 0u);
   // The one knob switches the NSEC3 digest memo off with the chain memo.
   EXPECT_FALSE(crypto::Nsec3DigestMemo::enabled());
-  EXPECT_EQ(flags.worker_args,
-            (std::vector<std::string>{"--chain-memo", "0"}));
 
   // Negative and non-numeric values keep the previous default.
   Argv argv2({"bench", "--chain-memo", "-4"});
@@ -309,11 +360,6 @@ TEST(BenchFlags, AggressiveNsecParsesAndForwardsToWorkers) {
   EXPECT_TRUE(flags.aggressive());
   EXPECT_EQ(flags.neg_cache_cap, 512u);
   EXPECT_EQ(flags.failure_cache_ttl_ms, 2000);
-  // Worker processes must run the same cache configuration.
-  EXPECT_EQ(flags.worker_args,
-            (std::vector<std::string>{"--aggressive-nsec", "on",
-                                      "--neg-cache-cap", "512",
-                                      "--failure-cache-ttl", "2000"}));
 
   // The profile hook installs the capability only when the flag is on.
   resolver::ResolverProfile on = resolver::ResolverProfile::cloudflare();

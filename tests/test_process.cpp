@@ -1,33 +1,28 @@
-// End-to-end tests for multi-process campaign scale-out
-// (scanner/process.hpp): K forked worker processes, each running shard
-// s-of-K through the normal parallel engine and emitting a serialised
-// artefact, must merge back to results *byte-identical* to the serial and
-// the in-process --jobs runs.
+// End-to-end tests for the multi-host seam (scanner/serialize.hpp): the K
+// sub-shards of a campaign, each run through the normal parallel engine
+// and written to its own artefact file, must merge back to results
+// *byte-identical* to the serial and the in-process --jobs runs.
 //
-// This binary has a custom main: when spawned with --worker-domain /
-// --worker-sweep it acts as a shard worker (the role the bench binaries
-// play in production), otherwise it runs the gtest suite. Workers use
-// jobs=2 internally, so every K also exercises the process×thread residue
-// composition (K procs × 2 threads ≡ one process at --jobs 2K).
+// The sub-shards run in this process, one after another, exactly as K
+// hosts would run `--shard s --of K --emit-shard BASE`. Each uses jobs=2
+// internally, so every K also exercises the shard×thread residue
+// composition (K shards × 2 threads ≡ one run at --jobs 2K).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/serialize.hpp"
-#include "scanner/process.hpp"
 #include "scanner/serialize.hpp"
+#include "shard_dir.hpp"
 #include "workload/install.hpp"
 #include "workload/resolver_population.hpp"
 
 namespace zh::scanner {
 namespace {
 
-/// Worker-side thread count: >1 so process sharding composes with thread
+/// Threads per sub-shard: >1 so sub-sharding composes with thread
 /// sharding in every test.
 constexpr unsigned kWorkerJobs = 2;
 
@@ -74,11 +69,11 @@ ParallelSweepResult run_sweep(unsigned jobs, unsigned shard = 0,
 }
 
 /// Canonical bytes of a campaign result, normalised to a fixed envelope so
-/// serial / --jobs K / K-process results can be compared byte-for-byte.
-/// The hash-work tally is zeroed: every worker signs its own world, so
-/// cost scales with the worker count by design — it is mode-equal (K
-/// processes ≡ --jobs K·J in-process, asserted separately below), not
-/// jobs-invariant like the statistics.
+/// serial / --jobs K / K merged shard results can be compared
+/// byte-for-byte. The hash-work tally is zeroed: every worker signs its
+/// own world, so cost scales with the worker count by design — it is
+/// mode-equal (K shards ≡ --jobs K·J in-process, asserted separately
+/// below), not jobs-invariant like the statistics.
 std::vector<std::uint8_t> canonical_bytes(
     const ParallelCampaignResult& result) {
   DomainShardArtefact artefact;
@@ -110,25 +105,47 @@ void expect_same_cost(const CostTally& a, const CostTally& b) {
   EXPECT_EQ(a.nsec3_hashes, b.nsec3_hashes);
 }
 
-/// Spawns K workers of this binary and returns their artefact paths.
-std::vector<std::string> spawn_workers(const char* role, unsigned procs,
-                                       std::string& dir) {
-  std::string error;
-  dir = make_shard_dir(error);
-  EXPECT_FALSE(dir.empty()) << error;
-  const std::string base = dir + "/shard";
-  EXPECT_TRUE(spawn_shard_workers("/proc/self/exe", {role}, procs, base,
-                                  error))
-      << error;
+/// Runs the `of` sub-shards of the test campaign at kWorkerJobs each and
+/// writes every artefact to its own file in `dir` — the files `of` hosts
+/// would emit. Returns their paths, in shard order.
+std::vector<std::string> emit_domain_shards(unsigned of, const ShardDir& dir) {
   std::vector<std::string> paths;
-  for (unsigned shard = 0; shard < procs; ++shard)
-    paths.push_back(base + ".s" + std::to_string(shard));
+  for (unsigned shard = 0; shard < of; ++shard) {
+    const ParallelCampaignResult result = run_domain(kWorkerJobs, shard, of);
+    DomainShardArtefact artefact;
+    artefact.tag = "t";
+    artefact.shard = shard;
+    artefact.of = of;
+    artefact.jobs = result.jobs;
+    artefact.stats = result.stats;
+    artefact.records = result.records;
+    artefact.queries_issued = result.queries_issued;
+    artefact.cost = result.cost;
+    paths.push_back(dir.write("domain.s" + std::to_string(shard),
+                              encode_artefact(artefact)));
+    EXPECT_FALSE(paths.back().empty()) << dir.path();
+  }
   return paths;
 }
 
-void cleanup(const std::vector<std::string>& paths, const std::string& dir) {
-  for (const auto& path : paths) std::remove(path.c_str());
-  if (!dir.empty()) std::remove(dir.c_str());
+std::vector<std::string> emit_sweep_shards(unsigned of, const ShardDir& dir) {
+  std::vector<std::string> paths;
+  for (unsigned shard = 0; shard < of; ++shard) {
+    const ParallelSweepResult result = run_sweep(kWorkerJobs, shard, of);
+    SweepShardArtefact artefact;
+    artefact.tag = "t";
+    artefact.shard = shard;
+    artefact.of = of;
+    artefact.jobs = result.jobs;
+    artefact.stats = result.stats;
+    artefact.queries_issued = result.queries_issued;
+    artefact.population = result.population;
+    artefact.cost = result.cost;
+    paths.push_back(dir.write("sweep.s" + std::to_string(shard),
+                              encode_artefact(artefact)));
+    EXPECT_FALSE(paths.back().empty()) << dir.path();
+  }
+  return paths;
 }
 
 TEST(ProcessCampaign, KProcessCampaignMatchesInProcess) {
@@ -136,25 +153,23 @@ TEST(ProcessCampaign, KProcessCampaignMatchesInProcess) {
   ASSERT_GT(serial.stats.scanned, 0u);
   const std::vector<std::uint8_t> want = canonical_bytes(serial);
 
-  for (const unsigned procs : {1u, 2u, 4u}) {
-    SCOPED_TRACE(procs);
+  for (const unsigned of : {1u, 2u, 4u}) {
+    SCOPED_TRACE(of);
     // In-process equivalent of the same global partition.
-    const ParallelCampaignResult in_process =
-        run_domain(procs * kWorkerJobs);
+    const ParallelCampaignResult in_process = run_domain(of * kWorkerJobs);
     EXPECT_EQ(canonical_bytes(in_process), want);
 
-    std::string dir;
-    const std::vector<std::string> paths =
-        spawn_workers("--worker-domain", procs, dir);
+    const ShardDir dir;
+    ASSERT_FALSE(dir.path().empty());
+    const std::vector<std::string> paths = emit_domain_shards(of, dir);
     ParallelCampaignResult merged;
     std::string error;
     ASSERT_TRUE(merge_domain_shards(paths, "t", merged, error)) << error;
-    EXPECT_EQ(merged.jobs, procs * kWorkerJobs);
+    EXPECT_EQ(merged.jobs, of * kWorkerJobs);
     EXPECT_EQ(canonical_bytes(merged), want);
     // Hash-work cost is per-worker-world, so it matches the in-process run
     // with the same global worker count (not the serial run).
     expect_same_cost(merged.cost, in_process.cost);
-    cleanup(paths, dir);
   }
 }
 
@@ -163,27 +178,27 @@ TEST(ProcessCampaign, KProcessSweepMatchesInProcess) {
   ASSERT_EQ(serial.stats.probed, 22u);
   const std::vector<std::uint8_t> want = canonical_bytes(serial);
 
-  for (const unsigned procs : {1u, 2u, 4u}) {
-    SCOPED_TRACE(procs);
-    const ParallelSweepResult in_process = run_sweep(procs * kWorkerJobs);
+  for (const unsigned of : {1u, 2u, 4u}) {
+    SCOPED_TRACE(of);
+    const ParallelSweepResult in_process = run_sweep(of * kWorkerJobs);
     EXPECT_EQ(canonical_bytes(in_process), want);
 
-    std::string dir;
-    const std::vector<std::string> paths =
-        spawn_workers("--worker-sweep", procs, dir);
+    const ShardDir dir;
+    ASSERT_FALSE(dir.path().empty());
+    const std::vector<std::string> paths = emit_sweep_shards(of, dir);
     ParallelSweepResult merged;
     std::string error;
     ASSERT_TRUE(merge_sweep_shards(paths, "t", merged, error)) << error;
     EXPECT_EQ(merged.population, serial.population);
     EXPECT_EQ(canonical_bytes(merged), want);
     expect_same_cost(merged.cost, in_process.cost);
-    cleanup(paths, dir);
   }
 }
 
 TEST(ProcessCampaign, SubShardOptionsPartitionTheCampaign) {
-  // Directly via ParallelOptions (no fork): the 3 sub-shards of a 3-way
-  // split, each itself running 2 threads, merge back to the serial run.
+  // Directly via ParallelOptions (no artefact files): the 3 sub-shards of
+  // a 3-way split, each itself running 2 threads, merge back to the serial
+  // run.
   const ParallelCampaignResult serial = run_domain(1);
   DomainCampaignStats merged_stats;
   std::vector<CompactDomainRecord> records;
@@ -206,9 +221,9 @@ TEST(ProcessCampaign, SubShardOptionsPartitionTheCampaign) {
 }
 
 TEST(ProcessCampaign, MergeRejectsIncompleteAndForeignSets) {
-  std::string dir;
-  const std::vector<std::string> paths =
-      spawn_workers("--worker-domain", 2, dir);
+  const ShardDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::vector<std::string> paths = emit_domain_shards(2, dir);
 
   ParallelCampaignResult merged;
   std::string error;
@@ -230,63 +245,7 @@ TEST(ProcessCampaign, MergeRejectsIncompleteAndForeignSets) {
     EXPECT_FALSE(merge_domain_shards(paths, "t", merged, error));
     EXPECT_NE(error.find(paths[1]), std::string::npos) << error;
   }
-  cleanup(paths, dir);
-}
-
-/// Shard-worker role: runs its sub-shard in-process and writes the
-/// artefact — the same job a bench binary does under --emit-shard.
-int worker_main(int argc, char** argv, bool domain) {
-  unsigned shard = 0, of = 1;
-  std::string emit;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc)
-      shard = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--of") == 0 && i + 1 < argc)
-      of = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--emit-shard") == 0 && i + 1 < argc)
-      emit = argv[++i];
-  }
-  if (emit.empty() || of == 0 || shard >= of) return 2;
-  const std::string path = emit + ".s" + std::to_string(shard);
-  std::vector<std::uint8_t> bytes;
-  if (domain) {
-    const ParallelCampaignResult result = run_domain(kWorkerJobs, shard, of);
-    DomainShardArtefact artefact;
-    artefact.tag = "t";
-    artefact.shard = shard;
-    artefact.of = of;
-    artefact.jobs = result.jobs;
-    artefact.stats = result.stats;
-    artefact.records = result.records;
-    artefact.queries_issued = result.queries_issued;
-    artefact.cost = result.cost;
-    bytes = encode_artefact(artefact);
-  } else {
-    const ParallelSweepResult result = run_sweep(kWorkerJobs, shard, of);
-    SweepShardArtefact artefact;
-    artefact.tag = "t";
-    artefact.shard = shard;
-    artefact.of = of;
-    artefact.jobs = result.jobs;
-    artefact.stats = result.stats;
-    artefact.queries_issued = result.queries_issued;
-    artefact.population = result.population;
-    artefact.cost = result.cost;
-    bytes = encode_artefact(artefact);
-  }
-  return analysis::write_bytes_file(path, bytes) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace zh::scanner
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--worker-domain") == 0)
-      return zh::scanner::worker_main(argc, argv, /*domain=*/true);
-    if (std::strcmp(argv[i], "--worker-sweep") == 0)
-      return zh::scanner::worker_main(argc, argv, /*domain=*/false);
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "scanner/parallel.hpp"
 #include "testbed/internet.hpp"
@@ -146,6 +147,29 @@ TEST(Export, JsonlAndChromeShape) {
   // ns → µs: 1000 ns = 1.000 µs, 2500 ns = 2.500 µs.
   EXPECT_NE(chrome.find("\"ts\":1.000"), std::string::npos) << chrome;
   EXPECT_NE(chrome.find("\"dur\":2.500"), std::string::npos) << chrome;
+}
+
+TEST(Export, UntouchedCounterLeavesJsonlUnchanged) {
+  // One shard's JSONL, with or without one more counter registered and
+  // never ticked: a metric added anywhere must not change trace artefacts.
+  const auto jsonl = [](bool register_untouched) {
+    FakeTime time;
+    Tracer tracer(&time);
+    tracer.configure({.enabled = true});
+    tracer.set_flow(7);
+    if (register_untouched) (void)tracer.metrics().counter("a.untouched");
+    tracer.instant("queue", "shed");
+    tracer.count("queue.shed", 2);
+    Collector collector;
+    collector.add_shard(0, tracer.take());
+    return std::pair(collector.to_jsonl(), collector.metrics());
+  };
+  const auto [without, without_metrics] = jsonl(false);
+  const auto [with, with_metrics] = jsonl(true);
+  EXPECT_EQ(with, without);
+  EXPECT_NE(with.find(",\"queue.shed\":2}"), std::string::npos) << with;
+  // The `# trace metric` view still lists every registered counter.
+  EXPECT_EQ(with_metrics.size(), without_metrics.size() + 1);
 }
 
 // --- Campaign-level acceptance criteria ---------------------------------
