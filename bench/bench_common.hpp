@@ -21,10 +21,10 @@
 //   ZH_TCP_IDLE_MS     frontend TCP idle-reap timeout (also --tcp-idle-ms)
 //   ZH_PENDING_BUDGET  frontend pending-response budget before shedding
 //                      (also --pending-budget N)
-//   ZH_SHA1_IMPL       scalar forces the portable SHA-1 kernel (also
-//                      --sha1-impl scalar; default: SHA-NI where the host
-//                      has it — see src/crypto/sha1.hpp and
-//                      docs/PERFORMANCE.md)
+//   ZH_SHA1_IMPL       scalar forces the portable SHA-1 and SHA-256
+//                      kernels (also --sha1-impl scalar; default: SHA-NI
+//                      where the host has it — see src/crypto/sha1.hpp,
+//                      src/crypto/sha2.hpp and docs/PERFORMANCE.md)
 //   ZH_CHAIN_MEMO      NSEC3 chain memo capacity, 0 disables it and the
 //                      NSEC3 digest memo (also --chain-memo N; default
 //                      4096, auto-grown to the domain population — see
@@ -43,6 +43,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,11 +66,6 @@
 
 namespace zh::bench {
 
-inline double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value ? std::atof(value) : fallback;
-}
-
 /// The one strict integer parser behind every integer env knob and flag:
 /// base-10 digits only, in [min, max]. atol turns "banana" into 0 and
 /// "12abc" into 12, and "-3" cast to an unsigned count becomes billions of
@@ -85,6 +81,36 @@ inline std::optional<std::uint64_t> parse_u64(
   if (errno != 0 || *end != '\0' || value < min || value > max)
     return std::nullopt;
   return value;
+}
+
+/// The one strict floating-point parser behind every real-valued env knob
+/// and flag: the whole string is one finite decimal number in [min, max].
+/// atof turns "banana" into 0 and "0.1x" into 0.1, silently; here each of
+/// them, and nan, inf and out-of-range values, is nullopt.
+inline std::optional<double> parse_double(
+    const char* text, double min = 0.0,
+    double max = std::numeric_limits<double>::infinity()) {
+  if (!text || !*text || std::isspace(static_cast<unsigned char>(*text)))
+    return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(value) || value < min ||
+      value > max)
+    return std::nullopt;
+  return value;
+}
+
+/// Strict real number from the environment, in [min, max]: anything
+/// parse_double rejects is reported on stderr and the fallback is used.
+inline double env_double(const char* name, double fallback, double min = 0.0,
+                         double max = std::numeric_limits<double>::infinity()) {
+  const char* value = std::getenv(name);
+  if (!value || !*value) return fallback;
+  if (const auto parsed = parse_double(value, min, max)) return *parsed;
+  std::fprintf(stderr, "# %s='%s' is not a number in [%g, %g]; using %g\n",
+               name, value, min, max, fallback);
+  return fallback;
 }
 
 /// Strict non-negative integer from the environment: anything parse_u64
@@ -118,6 +144,21 @@ bool parse_int_flag(const char* flag, const char* text, T& out,
   return false;
 }
 
+/// A real-valued flag through parse_double, into [min, max]. A bad value is
+/// reported on stderr and `out` keeps its previous value; returns whether
+/// `out` was set.
+inline bool parse_double_flag(
+    const char* flag, const char* text, double& out, double min = 0.0,
+    double max = std::numeric_limits<double>::infinity()) {
+  if (const auto parsed = parse_double(text, min, max)) {
+    out = *parsed;
+    return true;
+  }
+  std::fprintf(stderr, "# %s '%s' is not a number in [%g, %g]; keeping %g\n",
+               flag, text, min, max, out);
+  return false;
+}
+
 /// Every bench shares one flag vocabulary (parsed by parse_flags below):
 ///   --jobs N / --jobs=N / -jN   worker threads (0 = all hardware threads)
 ///   --loss P                    per-query drop probability in [0, 1]
@@ -139,8 +180,9 @@ bool parse_int_flag(const char* flag, const char* text, T& out,
 ///   --merge-shards FILE...      merge existing artefacts instead of
 ///                               scanning (consumes all remaining args);
 ///                               see bench_shards.hpp for the recipe
-///   --sha1-impl scalar          force the portable SHA-1 kernel instead
-///                               of SHA-NI — outputs are kernel-invariant
+///   --sha1-impl scalar          force the portable SHA-1 and SHA-256
+///                               kernels instead of SHA-NI — outputs are
+///                               kernel-invariant
 ///   --chain-memo N              NSEC3 chain memo capacity (0 disables it
 ///                               and the digest memo) — outputs are
 ///                               memo-invariant
@@ -262,7 +304,7 @@ inline std::optional<bool> parse_on_off(const char* value) {
 inline BenchFlags parse_flags(int argc, char** argv) {
   BenchFlags flags;
   unsigned jobs = static_cast<unsigned>(env_u64("ZH_JOBS", 1));
-  flags.loss = env_double("ZH_LOSS", 0.0);
+  flags.loss = env_double("ZH_LOSS", 0.0, 0.0, 1.0);
   flags.retry.attempts =
       static_cast<unsigned>(env_u64("ZH_RETRIES", flags.retry.attempts));
   flags.retry.timeout = simtime::Duration::from_ms(static_cast<std::int64_t>(
@@ -313,7 +355,7 @@ inline BenchFlags parse_flags(int argc, char** argv) {
     } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
       parse_int_flag("-j", arg + 2, jobs);
     } else if (const char* v = value_of(i, "--loss")) {
-      flags.loss = std::atof(v);
+      parse_double_flag("--loss", v, flags.loss, 0.0, 1.0);
     } else if (const char* v = value_of(i, "--retries")) {
       parse_int_flag("--retries", v, flags.retry.attempts);
     } else if (const char* v = value_of(i, "--timeout")) {
@@ -321,9 +363,9 @@ inline BenchFlags parse_flags(int argc, char** argv) {
       if (parse_int_flag("--timeout", v, ms))
         flags.retry.timeout = simtime::Duration::from_ms(ms);
     } else if (const char* v = value_of(i, "--latency")) {
-      flags.latency_ms = std::atof(v);
+      parse_double_flag("--latency", v, flags.latency_ms);
     } else if (const char* v = value_of(i, "--jitter")) {
-      flags.jitter_ms = std::atof(v);
+      parse_double_flag("--jitter", v, flags.jitter_ms);
     } else if (const char* v = value_of(i, "--max-inflight")) {
       parse_int_flag("--max-inflight", v, flags.max_inflight, 1);
     } else if (const char* v = value_of(i, "--listen")) {

@@ -90,6 +90,16 @@ void BM_WireSizeNxdomainWithProof(benchmark::State& state) {
 }
 BENCHMARK(BM_WireSizeNxdomainWithProof);
 
+void BM_FitsInNxdomainWithProof(benchmark::State& state) {
+  // The same decision as the two truncation paths take it: the uncompressed
+  // bound, with wire_size() only when the bound is over the limit.
+  const Message response = nxdomain_response_with_nsec3();
+  const std::size_t limit = static_cast<std::size_t>(state.range(0));
+  AllocScope allocs(state);
+  for (auto _ : state) benchmark::DoNotOptimize(response.fits_in(limit));
+}
+BENCHMARK(BM_FitsInNxdomainWithProof)->Arg(512)->Arg(1232);
+
 void BM_DecodeNxdomainWithProof(benchmark::State& state) {
   const auto wire = nxdomain_response_with_nsec3().to_wire();
   {

@@ -7,6 +7,7 @@
 #include "crypto/nsec3_memo.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha2.hpp"
+#include "crypto/signing.hpp"
 #include "dns/dnssec.hpp"
 #include "zone/chain_memo.hpp"
 #include "zone/signer.hpp"
@@ -50,7 +51,8 @@ class ScopedDigestMemo {
   bool previous_;
 };
 
-/// Forces the scalar SHA-1 kernel on or off for one benchmark's scope.
+/// Forces the scalar SHA-1 and SHA-256 kernels on or off for one
+/// benchmark's scope.
 class ScopedSha1Scalar {
  public:
   explicit ScopedSha1Scalar(bool on)
@@ -75,17 +77,54 @@ void BM_Sha1Block(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1Block)->Arg(20)->Arg(64)->Arg(256)->Arg(1024);
 
+/// For benchmarks whose range(0) selects the SHA-256 kernel the way
+/// BM_Nsec3Hash_Iterations selects SHA-1's (0 scalar, forced / 1 the host's
+/// default, SHA-NI): labels the benchmark with the kernel that runs, or
+/// skips it and returns false when 1 asks for SHA-NI the host lacks.
+bool sha256_kernel_available(benchmark::State& state) {
+  const bool scalar =
+      zh::crypto::sha256_compress() == &zh::crypto::sha256_compress_scalar;
+  if (state.range(0) != 0 && scalar) {
+    state.SkipWithError("SHA-NI not supported on this host/build");
+    return false;
+  }
+  state.SetLabel(scalar ? "scalar" : "sha-ni");
+  return true;
+}
+
+/// One SHA-256 of range(1) bytes under the kernel range(0) selects.
 void BM_Sha256Block(benchmark::State& state) {
-  const std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)),
+  ScopedSha1Scalar kernel(state.range(0) == 0);
+  if (!sha256_kernel_available(state)) return;
+  const std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(1)),
                                        0xab);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         zh::crypto::Sha256::hash(std::span<const std::uint8_t>(data)));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+                          state.range(1));
 }
-BENCHMARK(BM_Sha256Block)->Arg(64)->Arg(1024);
+BENCHMARK(BM_Sha256Block)->ArgsProduct({{0, 1}, {64, 1024}});
+
+/// The validator's signature check (HMAC-SHA-256 over range(1) bytes of
+/// signed data) under the kernel range(0) selects: what every RRSIG a
+/// Fig. 3 probe validates costs besides its NSEC3 hashing.
+void BM_SimVerify(benchmark::State& state) {
+  ScopedSha1Scalar kernel(state.range(0) == 0);
+  if (!sha256_kernel_available(state)) return;
+  const auto key = zh::crypto::SimKey::derive("bench.example/zsk");
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(1)));
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  const auto signature = key.sign(data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        zh::crypto::sim_verify(key.public_key(), data, signature));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimVerify)->ArgsProduct({{0, 1}, {160, 512}});
 
 /// The headline micro: one NSEC3 hash at N additional iterations, computed
 /// from scratch every time. range(0) selects the single-stream kernel

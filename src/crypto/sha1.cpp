@@ -113,11 +113,18 @@ void sha1_compress_scalar(std::uint32_t state[5],
   state[4] += e;
 }
 
-Sha1CompressFn sha1_single_compress() noexcept {
-#if defined(ZH_HAVE_SHA1_SHANI)
+#if defined(ZH_HAVE_SHANI)
+bool detail::cpu_has_shani() noexcept {
   static const bool shani =
       __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
-  if (shani && !sha1_scalar_forced()) return detail::sha1_compress_shani;
+  return shani;
+}
+#endif
+
+Sha1CompressFn sha1_single_compress() noexcept {
+#if defined(ZH_HAVE_SHANI)
+  if (detail::cpu_has_shani() && !sha1_scalar_forced())
+    return detail::sha1_compress_shani;
 #endif
   return sha1_compress_scalar;
 }

@@ -33,11 +33,13 @@ using Sha1CompressFn = void (*)(std::uint32_t state[5],
 /// not forced; sha1_compress_scalar otherwise.
 Sha1CompressFn sha1_single_compress() noexcept;
 
-/// True if the scalar kernel is forced. First use reads ZH_SHA1_IMPL:
-/// `scalar` forces it; any other value is diagnosed on stderr and ignored.
+/// True if the scalar kernels are forced, for SHA-1 and SHA-256 alike
+/// (sha2.hpp). First use reads ZH_SHA1_IMPL: `scalar` forces them; any
+/// other value is diagnosed on stderr and ignored.
 bool sha1_scalar_forced() noexcept;
 
-/// Forces the scalar kernel on or off (--sha1-impl, tests, benches).
+/// Forces the scalar SHA-1 and SHA-256 kernels on or off (--sha1-impl,
+/// tests, benches).
 void force_sha1_scalar(bool on) noexcept;
 
 /// Incremental SHA-1 hasher.
@@ -84,9 +86,13 @@ void sha1_iterate(Sha1::Digest& digest, std::span<const std::uint8_t> suffix,
 
 namespace detail {
 
-#if defined(ZH_HAVE_SHA1_SHANI)
+#if defined(ZH_HAVE_SHANI)
+/// True if the CPU has the SHA extensions and SSE4.1: the runtime gate of
+/// both SHA-NI kernels. ZH_HAVE_SHANI is private to zh_crypto, so only its
+/// sources see these declarations.
+bool cpu_has_shani() noexcept;
+
 /// Drop-in for sha1_compress_scalar on the SHA extensions (sha1_shani.cpp).
-/// ZH_HAVE_SHA1_SHANI is private to zh_crypto, so only its sources see it.
 void sha1_compress_shani(std::uint32_t state[5],
                          const std::uint8_t* block) noexcept;
 #endif

@@ -5,7 +5,7 @@
 // sha1.cpp only calls in here after a CPUID check.
 #include "crypto/sha1.hpp"
 
-#if defined(ZH_HAVE_SHA1_SHANI)
+#if defined(ZH_HAVE_SHANI)
 
 #include <immintrin.h>
 
@@ -82,4 +82,4 @@ void sha1_compress_shani(std::uint32_t state[5],
 
 }  // namespace zh::crypto::detail
 
-#endif  // ZH_HAVE_SHA1_SHANI
+#endif  // ZH_HAVE_SHANI

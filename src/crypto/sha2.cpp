@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "crypto/cost_meter.hpp"
+#include "crypto/sha1.hpp"
 
 namespace zh::crypto {
 namespace {
@@ -13,7 +14,11 @@ inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
          (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
 }
 
-constexpr std::uint32_t kK256[64] = {
+}  // namespace
+
+namespace detail {
+
+const std::uint32_t kSha256RoundConstants[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -26,7 +31,7 @@ constexpr std::uint32_t kK256[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-}  // namespace
+}  // namespace detail
 
 void Sha256::reset() noexcept {
   state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
@@ -35,9 +40,8 @@ void Sha256::reset() noexcept {
   buffer_len_ = 0;
 }
 
-void Sha256::compress(const std::uint8_t* block) noexcept {
-  CostMeter::add_sha2_blocks(1);
-
+void sha256_compress_scalar(std::uint32_t state[8],
+                            const std::uint8_t* block) noexcept {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -48,14 +52,15 @@ void Sha256::compress(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 =
         std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK256[i] + w[i];
+    const std::uint32_t t1 =
+        h + s1 + ch + detail::kSha256RoundConstants[i] + w[i];
     const std::uint32_t s0 =
         std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
     const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
@@ -70,14 +75,27 @@ void Sha256::compress(const std::uint8_t* block) noexcept {
     a = t1 + t2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+Sha256CompressFn sha256_compress() noexcept {
+#if defined(ZH_HAVE_SHANI)
+  if (detail::cpu_has_shani() && !sha1_scalar_forced())
+    return detail::sha256_compress_shani;
+#endif
+  return sha256_compress_scalar;
+}
+
+void Sha256::compress(const std::uint8_t* block) noexcept {
+  CostMeter::add_sha2_blocks(1);
+  sha256_compress()(state_.data(), block);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {

@@ -15,26 +15,46 @@ bool canonical_rdata_less(const RdataBytes& a, const RdataBytes& b) noexcept {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
-std::vector<std::uint8_t> build_signed_data(const RrsigRdata& presig,
-                                            const RrSet& rrset) {
-  ByteWriter w;
-  w.bytes(presig.encode_presignature());
+void build_signed_data(const RrsigRdata& presig, const RrSet& rrset,
+                       const Name& owner, std::vector<std::uint8_t>& out) {
+  out.clear();
+  presig.append_presignature(out);
 
-  std::vector<RdataBytes> sorted = rrset.rdatas;
-  std::sort(sorted.begin(), sorted.end(), canonical_rdata_less);
-  // Duplicate rdatas are not allowed in an RRset (RFC 2181 §5).
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  // Canonical order over pointers, so no rdata is copied; typical RRsets
+  // sort on the stack. Duplicate rdatas are not allowed in an RRset (RFC
+  // 2181 §5), so each distinct one is signed once.
+  std::array<const RdataBytes*, 16> stack_order;
+  std::vector<const RdataBytes*> heap_order;
+  const std::size_t count = rrset.rdatas.size();
+  const RdataBytes** order = stack_order.data();
+  if (count > stack_order.size()) {
+    heap_order.resize(count);
+    order = heap_order.data();
+  }
+  for (std::size_t i = 0; i < count; ++i) order[i] = &rrset.rdatas[i];
+  std::sort(order, order + count,
+            [](const RdataBytes* a, const RdataBytes* b) {
+              return canonical_rdata_less(*a, *b);
+            });
+  const RdataBytes** const end =
+      std::unique(order, order + count,
+                  [](const RdataBytes* a, const RdataBytes* b) {
+                    return *a == *b;
+                  });
 
-  const std::vector<std::uint8_t> owner = rrset.name.to_canonical_wire();
-  for (const auto& rdata : sorted) {
-    w.bytes(owner);
+  std::array<std::uint8_t, Name::kMaxWireLength> owner_wire{};
+  const std::span<const std::uint8_t> owner_span(
+      owner_wire.data(), owner.write_canonical_wire(owner_wire));
+  ByteWriter w(std::move(out));
+  for (const RdataBytes* rdata : std::span(order, end)) {
+    w.bytes(owner_span);
     w.u16(static_cast<std::uint16_t>(rrset.type));
     w.u16(static_cast<std::uint16_t>(rrset.klass));
     w.u32(presig.original_ttl);
-    w.u16(static_cast<std::uint16_t>(rdata.size()));
-    w.bytes(rdata);
+    w.u16(static_cast<std::uint16_t>(rdata->size()));
+    w.bytes(*rdata);
   }
-  return w.take();
+  out = w.take();
 }
 
 DsRdata make_ds(const Name& owner, const DnskeyRdata& key,

@@ -20,11 +20,16 @@ namespace zh::dns {
 /// left-justified unsigned octet sequences (absent octets sort first).
 bool canonical_rdata_less(const RdataBytes& a, const RdataBytes& b) noexcept;
 
-/// Builds the exact byte string an RRSIG covers (RFC 4034 §3.1.8.1):
-/// RRSIG_RDATA (pre-signature fields) || canonical form of each RR, rdatas
-/// sorted canonically, owner lowercased, TTL = original_ttl.
-std::vector<std::uint8_t> build_signed_data(const RrsigRdata& presig,
-                                            const RrSet& rrset);
+/// Writes the exact byte string an RRSIG covers (RFC 4034 §3.1.8.1) into
+/// `out`, replacing what it held: RRSIG_RDATA (pre-signature fields) ||
+/// canonical form of each RR, rdatas sorted canonically and deduplicated,
+/// owner lowercased, TTL = presig.original_ttl (rrset.ttl is not read).
+/// `owner` is rrset.name, or for a wildcard-expanded RRset the wildcard it
+/// was expanded from (RFC 4035 §5.3.2). A caller that reuses `out` keeps
+/// its capacity, so signature after signature allocates nothing once the
+/// buffer has grown.
+void build_signed_data(const RrsigRdata& presig, const RrSet& rrset,
+                       const Name& owner, std::vector<std::uint8_t>& out);
 
 /// DS record for a DNSKEY: digest over (canonical owner wire || rdata).
 DsRdata make_ds(const Name& owner, const DnskeyRdata& key,

@@ -15,6 +15,11 @@ namespace zh::dns {
 /// Append-only big-endian byte sink.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Appends after `out`'s bytes, into its capacity; take() hands it back,
+  /// so a buffer its owner reuses stops allocating once it has grown.
+  explicit ByteWriter(std::vector<std::uint8_t> out) : out_(std::move(out)) {}
+
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v) {
     out_.push_back(static_cast<std::uint8_t>(v >> 8));

@@ -299,6 +299,22 @@ std::size_t Message::wire_size() const {
   return size;
 }
 
+bool Message::fits_in(std::size_t limit) const {
+  std::size_t bound = 12;
+  for (const auto& q : questions) bound += q.name.wire_length() + 4;
+  const auto bound_rr = [&](const ResourceRecord& rr) {
+    bound += rr.name.wire_length() + 10 + rr.rdata.size();
+  };
+  for (const auto& rr : answers) bound_rr(rr);
+  for (const auto& rr : authorities) bound_rr(rr);
+  for (const auto& rr : additionals) bound_rr(rr);
+  if (edns) {
+    bound += 11;
+    for (const auto& option : edns->options) bound += 4 + option.data.size();
+  }
+  return bound <= limit || wire_size() <= limit;
+}
+
 const char* to_string(WireErrc errc) {
   switch (errc) {
     case WireErrc::kOk: return "ok";

@@ -170,8 +170,16 @@ struct Message {
   /// Exact encoded size — `wire_size() == to_wire().size()` always — without
   /// building the buffer. Shares the compressor's suffix registration
   /// (including the 0x4000 pointer-offset cap) so compression decisions are
-  /// identical. Use for size-only decisions like UDP truncation.
+  /// identical. It pays for a suffix map; UDP truncation asks fits_in(),
+  /// which calls it only when the cheap bound cannot decide.
   std::size_t wire_size() const;
+
+  /// `wire_size() <= limit`, decided from the uncompressed size where that
+  /// is enough: header, every name's wire_length(), the fixed RR fields,
+  /// rdata and OPT. Compression never makes a message bigger (a 2-byte
+  /// pointer replaces at least a 1-octet label plus the root, 3 bytes), so
+  /// a bound within `limit` proves the fit; above it, wire_size() decides.
+  bool fits_in(std::size_t limit) const;
 
   /// Parses a wire message; embedded compressed names inside NS/CNAME/SOA/
   /// MX rdata are normalised to uncompressed form. Returns nullopt on any

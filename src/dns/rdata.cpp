@@ -1,14 +1,27 @@
 #include "dns/rdata.hpp"
 
 #include <cstdio>
+#include <cstring>
 
 #include "dns/io.hpp"
 
 namespace zh::dns {
 namespace {
 
+/// Uncompressed wire form, case preserved: the bytes of name.to_wire()
+/// from a stack buffer instead of a temporary vector. One append, as
+/// before, so stored rdata vectors keep the capacity they had.
 void write_name(ByteWriter& w, const Name& name) {
-  w.bytes(name.to_wire());
+  std::array<std::uint8_t, Name::kMaxWireLength> wire{};
+  std::size_t length = 0;
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    const std::string& label = name.label(i);
+    wire[length++] = static_cast<std::uint8_t>(label.size());
+    std::memcpy(wire.data() + length, label.data(), label.size());
+    length += label.size();
+  }
+  wire[length++] = 0;
+  w.bytes(std::span<const std::uint8_t>(wire.data(), length));
 }
 
 /// Reads an *uncompressed* wire name (rdata context; compression pointers
@@ -178,12 +191,15 @@ std::optional<SoaRdata> SoaRdata::decode(std::span<const std::uint8_t> rdata) {
   return out;
 }
 
-std::uint16_t DnskeyRdata::key_tag() const {
-  // RFC 4034 Appendix B: ones-complement-style checksum over the rdata.
-  const RdataBytes wire = encode();
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < wire.size(); ++i)
-    acc += (i & 1) ? wire[i] : (std::uint32_t{wire[i]} << 8);
+std::uint16_t DnskeyRdata::key_tag() const noexcept {
+  // RFC 4034 Appendix B: ones-complement-style checksum over the rdata,
+  // even octets high. The wire is flags (octets 0-1), protocol (2, even),
+  // algorithm (3, odd), then the key from octet 4, so each key octet keeps
+  // the parity of its index in public_key.
+  std::uint32_t acc =
+      flags + (std::uint32_t{protocol} << 8) + std::uint32_t{algorithm};
+  for (std::size_t i = 0; i < public_key.size(); ++i)
+    acc += (i & 1) ? public_key[i] : (std::uint32_t{public_key[i]} << 8);
   acc += (acc >> 16) & 0xffff;
   return static_cast<std::uint16_t>(acc & 0xffff);
 }
@@ -214,13 +230,14 @@ std::optional<DnskeyRdata> DnskeyRdata::decode(
 }
 
 RdataBytes RrsigRdata::encode() const {
-  RdataBytes out = encode_presignature();
+  RdataBytes out;
+  append_presignature(out);
   out.insert(out.end(), signature.begin(), signature.end());
   return out;
 }
 
-RdataBytes RrsigRdata::encode_presignature() const {
-  ByteWriter w;
+void RrsigRdata::append_presignature(std::vector<std::uint8_t>& out) const {
+  ByteWriter w(std::move(out));
   w.u16(type_covered);
   w.u8(algorithm);
   w.u8(labels);
@@ -231,7 +248,7 @@ RdataBytes RrsigRdata::encode_presignature() const {
   // Signer name is *not* compressed and is lowercased by convention in this
   // codebase (all generated names are lowercase).
   write_name(w, signer);
-  return w.take();
+  out = w.take();
 }
 
 std::optional<RrsigRdata> RrsigRdata::decode(

@@ -100,8 +100,9 @@ struct DnskeyRdata {
   bool is_zone_key() const noexcept { return flags & kFlagZoneKey; }
   bool is_sep() const noexcept { return flags & kFlagSep; }
 
-  /// RFC 4034 Appendix B key tag over the wire rdata.
-  std::uint16_t key_tag() const;
+  /// RFC 4034 Appendix B key tag over the wire rdata, summed from the
+  /// fields without encoding them.
+  std::uint16_t key_tag() const noexcept;
 
   RdataBytes encode() const;
   static std::optional<DnskeyRdata> decode(std::span<const std::uint8_t> rdata);
@@ -122,9 +123,10 @@ struct RrsigRdata {
   RrType covered() const noexcept { return static_cast<RrType>(type_covered); }
 
   RdataBytes encode() const;
-  /// Wire form with the signature field left empty — the prefix that gets
-  /// concatenated with the canonical RRset when computing signed data.
-  RdataBytes encode_presignature() const;
+  /// Appends the wire form with the signature field left empty — the prefix
+  /// that gets concatenated with the canonical RRset when computing signed
+  /// data, and the one encoder of those fields encode() also runs.
+  void append_presignature(std::vector<std::uint8_t>& out) const;
   static std::optional<RrsigRdata> decode(std::span<const std::uint8_t> rdata);
 };
 

@@ -159,10 +159,10 @@ std::vector<std::uint8_t> Frontend::udp_response_wire(const dns::Message& query,
                  : 512;
   if (config_.max_udp_payload >= 512 && config_.max_udp_payload < limit)
     limit = config_.max_udp_payload;
-  // wire_size() decides truncation without serializing, so exactly one
-  // message is ever encoded on this path (the full response used to be
-  // serialised even when it was about to be thrown away).
-  if (response.wire_size() <= limit) return response.to_wire();
+  // fits_in() decides truncation without serializing, and for a typical
+  // answer without compressing either, so the one to_wire() below is the
+  // only compression pass.
+  if (response.fits_in(limit)) return response.to_wire();
   // Mirror simnet::Network::send truncation: empty sections, TC set, rcode
   // and AA preserved — a UDP→TCP retry then fetches the identical answer.
   dns::Message truncated = dns::Message::make_response(query);

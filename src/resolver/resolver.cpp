@@ -385,7 +385,7 @@ std::optional<Message> RecursiveResolver::query_servers(
     // zdns-style retransmission with UDP→TCP fallback on truncation (RFC
     // 7766) — large NSEC3 proofs and DNSKEY RRsets routinely exceed UDP
     // budgets.
-    const simnet::ExchangeOutcome ex = simnet::exchange(
+    simnet::ExchangeOutcome ex = simnet::exchange(
         network_, config_.address, server, query,
         config_.profile.upstream_retry);
     stats_.upstream_queries += ex.attempts - (ex.tcp_fallback ? 1 : 0);
@@ -396,18 +396,18 @@ std::optional<Message> RecursiveResolver::query_servers(
       continue;
     }
     if (!ex.response) continue;  // unreachable — try the next server
-    const std::optional<Message>& response = ex.response;
+    const Message& response = *ex.response;
     // Anti-spoofing hygiene (RFC 5452): the response must echo our
     // transaction ID and question, or it is discarded.
-    if (response->header.id != query.header.id) continue;
-    if (response->questions.empty() ||
-        !(response->questions.front() == query.questions.front()))
+    if (response.header.id != query.header.id) continue;
+    if (response.questions.empty() ||
+        !(response.questions.front() == query.questions.front()))
       continue;
-    if (response->header.rcode == Rcode::kRefused ||
-        response->header.rcode == Rcode::kFormErr ||
-        response->header.rcode == Rcode::kNotImp)
+    if (response.header.rcode == Rcode::kRefused ||
+        response.header.rcode == Rcode::kFormErr ||
+        response.header.rcode == Rcode::kNotImp)
       continue;
-    return response;
+    return std::move(ex.response);
   }
   return std::nullopt;
 }
@@ -443,24 +443,18 @@ bool RecursiveResolver::verify_rrset(const RrSet& rrset,
 
     // Wildcard reconstruction (RFC 4035 §5.3.2): if the RRSIG's label count
     // is lower than the owner's, the signed owner was the wildcard.
-    RrSet effective = rrset;
     const std::uint8_t owner_labels = dns::rrsig_label_count(rrset.name);
-    if (sig.labels < owner_labels) {
-      effective.name =
-          rrset.name.ancestor_with_labels(sig.labels).wildcard_child();
-    } else if (sig.labels > owner_labels) {
-      continue;  // malformed
-    }
-    effective.ttl = sig.original_ttl;
+    if (sig.labels > owner_labels) continue;  // malformed
+    const bool expanded = sig.labels < owner_labels;
+    const Name wildcard =
+        expanded ? rrset.name.ancestor_with_labels(sig.labels).wildcard_child()
+                 : Name();
+    dns::build_signed_data(sig, rrset, expanded ? wildcard : rrset.name,
+                           signed_data_);
 
-    const auto data = dns::build_signed_data(sig, effective);
     crypto::SimPublicKey pk{};
     std::copy(key->public_key.begin(), key->public_key.end(), pk.begin());
-    if (crypto::sim_verify(
-            pk, std::span<const std::uint8_t>(data.data(), data.size()),
-            std::span<const std::uint8_t>(sig.signature.data(),
-                                          sig.signature.size())))
-      return true;
+    if (crypto::sim_verify(pk, signed_data_, sig.signature)) return true;
   }
   return false;
 }

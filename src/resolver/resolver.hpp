@@ -223,6 +223,8 @@ class RecursiveResolver {
   // (as opposed to an unreachable or misbehaving server).
   bool upstream_timeout_ = false;
   bool last_query_dropped_ = false;
+  // verify_rrset's signed-data buffer, reused signature after signature.
+  mutable std::vector<std::uint8_t> signed_data_;
   // Deadline accounting for the in-flight client query (set by handle()).
   simtime::Duration query_start_;
   std::uint64_t own_sha1_start_ = 0;

@@ -132,7 +132,7 @@ class Network {
     const std::size_t buffer_size =
         query.edns ? std::max<std::size_t>(512, query.edns->udp_payload_size)
                    : 512;
-    if (response->wire_size() > buffer_size) {
+    if (!response->fits_in(buffer_size)) {
       dns::Message truncated = dns::Message::make_response(query);
       truncated.header.rcode = response->header.rcode;
       truncated.header.aa = response->header.aa;

@@ -41,12 +41,14 @@ bool is_occluded(const Zone& zone, const Name& name) {
 }
 
 /// Builds and signs an RRSIG over `rrset` with the zone's ZSK (or KSK for
-/// the DNSKEY RRset, per convention).
+/// the DNSKEY RRset, per convention). `signed_data` is scratch the caller
+/// reuses across signatures.
 ResourceRecord make_rrsig(const Zone& zone, const RrSet& rrset,
                           const SignerConfig& config,
                           const crypto::SimKey& key,
                           const DnskeyRdata& key_record,
-                          std::uint32_t expiration) {
+                          std::uint32_t expiration,
+                          std::vector<std::uint8_t>& signed_data) {
   dns::RrsigRdata presig;
   presig.type_covered = static_cast<std::uint16_t>(rrset.type);
   presig.algorithm =
@@ -58,9 +60,8 @@ ResourceRecord make_rrsig(const Zone& zone, const RrSet& rrset,
   presig.key_tag = key_record.key_tag();
   presig.signer = zone.apex();
 
-  const auto data = dns::build_signed_data(presig, rrset);
-  const auto signature =
-      key.sign(std::span<const std::uint8_t>(data.data(), data.size()));
+  dns::build_signed_data(presig, rrset, rrset.name, signed_data);
+  const auto signature = key.sign(signed_data);
   presig.signature.assign(signature.begin(), signature.end());
 
   return ResourceRecord::make(rrset.name, RrType::kRrsig, rrset.ttl, presig);
@@ -113,6 +114,7 @@ SigningResult sign_zone(Zone& zone, const SignerConfig& config) {
 
   const crypto::SimKey ksk_key = sim_key(seed, true);
   const crypto::SimKey zsk_key = sim_key(seed, false);
+  std::vector<std::uint8_t> signed_data;  // make_rrsig's reused scratch
 
   // 1. Publish the DNSKEY RRset (and NSEC3PARAM for NSEC3 zones).
   zone.add(ResourceRecord::make(zone.apex(), RrType::kDnskey,
@@ -259,7 +261,8 @@ SigningResult sign_zone(Zone& zone, const SignerConfig& config) {
         set.ttl = entry.ttl;
         set.rdatas = {entry.rdata.encode()};
         entry.rrsigs.push_back(make_rrsig(zone, set, config, zsk_key,
-                                          result.zsk, nsec3_expiration));
+                                          result.zsk, nsec3_expiration,
+                                          signed_data));
       }
 
       if (memo.enabled()) {
@@ -285,10 +288,10 @@ SigningResult sign_zone(Zone& zone, const SignerConfig& config) {
       if (delegation && type != RrType::kDs) continue;  // NS+glue unsigned
       if (type == RrType::kDnskey) {
         rrsigs.push_back(make_rrsig(zone, set, config, ksk_key, result.ksk,
-                                    config.expiration));
+                                    config.expiration, signed_data));
       } else {
         rrsigs.push_back(make_rrsig(zone, set, config, zsk_key, result.zsk,
-                                    config.expiration));
+                                    config.expiration, signed_data));
       }
     }
   });

@@ -7,8 +7,8 @@
 #   3. every page under docs/ is reachable: linked from at least one
 #      other markdown file (no orphan documentation);
 #   4. docs/PERFORMANCE.md exists and covers the crypto fast-path
-#      surface: both knobs, both SHA-1 kernels, and the benches
-#      whose output the logical-cost contract protects.
+#      surface: both knobs, the SHA-1 and SHA-256 kernels, and the
+#      benches whose output the logical-cost contract protects.
 # Exits non-zero with one line per violation.
 set -u
 
@@ -89,7 +89,7 @@ if [ ! -f "$perf_doc" ]; then
   echo "MISSING DOC: $perf_doc"
   status=1
 else
-  for token in ZH_SHA1_IMPL ZH_CHAIN_MEMO scalar SHA-NI \
+  for token in ZH_SHA1_IMPL ZH_CHAIN_MEMO scalar SHA-NI sha256_shani \
                bench_micro_nsec3 bench_cve_cost bench_dos_amplification; do
     if ! grep -q "$token" "$perf_doc"; then
       echo "INCOMPLETE PERFORMANCE DOC: $perf_doc does not mention $token"

@@ -2,7 +2,7 @@
 // every parsed flag must land in BenchFlags AND survive the apply()
 // hand-off into scanner::ParallelOptions (--trace-format once fell
 // through that gap), and environment and flag parsing must reject garbage
-// instead of atoll-ing it into surprising numbers.
+// instead of atoll-ing or atof-ing it into surprising numbers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -217,6 +217,88 @@ TEST(BenchFlags, IntegerFlagsRejectGarbageAndKeepThePreviousValue) {
 
   zone::Nsec3ChainMemo::set_default_capacity(memo_capacity);
   crypto::Nsec3DigestMemo::set_enabled(digest_memo);
+}
+
+TEST(BenchFlags, RealFlagsRejectGarbageAndKeepThePreviousValue) {
+  // --loss, --latency and --jitter go through the one strict real parser:
+  // garbage, trailing junk, nan, inf, a negative number and (for the loss
+  // probability) a value over 1 are reported on stderr and leave the value
+  // an earlier occurrence of the flag set, in both forms.
+  struct RealFlag {
+    std::string name;
+    std::string valid;
+    std::vector<std::string> bad;
+    double (*read)(const BenchFlags&);
+  };
+  const std::vector<std::string> garbage = {"banana", "0.1x", "nan", "inf",
+                                            "-1"};
+  std::vector<std::string> loss_garbage = garbage;
+  loss_garbage.push_back("1.5");
+  const std::vector<RealFlag> table = {
+      {"--loss", "0.25", loss_garbage,
+       [](const BenchFlags& f) { return f.loss; }},
+      {"--latency", "20.5", garbage,
+       [](const BenchFlags& f) { return f.latency_ms; }},
+      {"--jitter", "5", garbage,
+       [](const BenchFlags& f) { return f.jitter_ms; }},
+  };
+  for (const RealFlag& flag : table) {
+    SCOPED_TRACE(flag.name);
+    for (const bool equals : {false, true}) {
+      SCOPED_TRACE(equals ? "--flag=V" : "--flag V");
+      const auto args = [&](const std::string& value) {
+        return equals ? std::vector<std::string>{flag.name + "=" + value}
+                      : std::vector<std::string>{flag.name, value};
+      };
+      std::vector<std::string> valid_only{"bench"};
+      for (const auto& arg : args(flag.valid)) valid_only.push_back(arg);
+      Argv valid_argv(valid_only);
+      const double valid =
+          flag.read(parse_flags(valid_argv.argc(), valid_argv.argv()));
+      ASSERT_EQ(valid, std::stod(flag.valid));
+      for (const std::string& bad : flag.bad) {
+        std::vector<std::string> both = valid_only;
+        for (const auto& arg : args(bad)) both.push_back(arg);
+        Argv argv(both);
+        ::testing::internal::CaptureStderr();
+        const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
+        const std::string diagnostic =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(flag.read(flags), valid) << bad;
+        EXPECT_NE(diagnostic.find(flag.name), std::string::npos) << bad;
+      }
+    }
+  }
+}
+
+TEST(BenchEnv, RealKnobsRejectGarbageAndKeepTheDefault) {
+  for (const char* bad : {"banana", "0.1x", "nan", "inf", "-1", "1.5"}) {
+    SCOPED_TRACE(bad);
+    EnvVar loss("ZH_LOSS", bad);
+    Argv argv({"bench"});
+    ::testing::internal::CaptureStderr();
+    const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
+    const std::string diagnostic = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(flags.loss, 0.0);
+    EXPECT_NE(diagnostic.find("ZH_LOSS"), std::string::npos);
+  }
+  {
+    EnvVar loss("ZH_LOSS", "0.2");
+    Argv argv({"bench"});
+    EXPECT_EQ(parse_flags(argv.argc(), argv.argv()).loss, 0.2);
+  }
+  for (const char* bad : {"banana", "0.1x", "nan", "inf", "-1"}) {
+    SCOPED_TRACE(bad);
+    EnvVar scale("ZH_SCALE", bad);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(env_double("ZH_SCALE", 0.001), 0.001);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find("ZH_SCALE"),
+              std::string::npos);
+  }
+  {
+    EnvVar scale("ZH_SCALE", "0.0005");
+    EXPECT_EQ(env_double("ZH_SCALE", 0.001), 0.0005);
+  }
 }
 
 TEST(BenchEnv, RejectsNegativeAndGarbageIntegers) {

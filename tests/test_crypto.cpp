@@ -1,6 +1,7 @@
 // Unit tests for zh::crypto: FIPS/RFC test vectors for the hash primitives,
 // HMAC vectors (RFC 4231/2202), the RFC 5155 Appendix A NSEC3 vectors, the
-// SHA-1 kernels, the NSEC3 digest memo, and the simulated signature scheme.
+// SHA-1 and SHA-256 kernels, the NSEC3 digest memo, and the simulated
+// signature scheme.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -356,6 +357,7 @@ class ScopedDigestMemo {
 TEST(Sha1SingleStream, ScalarForcesTheScalarKernel) {
   ScopedSha1Scalar scoped(true);
   EXPECT_EQ(sha1_single_compress(), &sha1_compress_scalar);
+  EXPECT_EQ(sha256_compress(), &sha256_compress_scalar);
 }
 
 TEST(Sha1SingleStream, DefaultKernelMatchesScalarOnRandomBlocks) {
@@ -484,13 +486,115 @@ TEST(Sha1SingleStream, IterateMatchesSha1LoopForEverySuffixShape) {
 
 TEST(Sha1SingleStream, FollowsTheEnvironmentKnob) {
   // ctest runs this once more under ZH_SHA1_IMPL=scalar, which must force
-  // the scalar kernel, and under a retired kernel name, which is diagnosed
-  // and leaves the default kernel in place.
+  // the scalar SHA-1 and SHA-256 kernels, and under a retired kernel name,
+  // which is diagnosed and leaves the default kernels in place.
   const char* raw = std::getenv("ZH_SHA1_IMPL");
   const bool scalar = raw != nullptr && std::string_view(raw) == "scalar";
   EXPECT_EQ(sha1_scalar_forced(), scalar);
   if (scalar) {
     EXPECT_EQ(sha1_single_compress(), &sha1_compress_scalar);
+    EXPECT_EQ(sha256_compress(), &sha256_compress_scalar);
+  }
+}
+
+// --- SHA-256 kernels (Sha256, sha256_compress) ---
+
+TEST(Sha256Kernel, DefaultKernelMatchesScalarOnRandomBlocks) {
+  ScopedSha1Scalar scoped(false);
+  const Sha256CompressFn kernel = sha256_compress();
+  if (kernel == &sha256_compress_scalar)
+    GTEST_SKIP() << "SHA-NI not supported by this host/build";
+
+  std::mt19937_64 rng(0x5eed256);
+  for (int pair = 0; pair < 100'000; ++pair) {
+    std::uint32_t expected[8];
+    for (auto& word : expected) word = static_cast<std::uint32_t>(rng());
+    std::uint8_t block[Sha256::kBlockSize];
+    for (std::size_t i = 0; i < sizeof block; i += 8) {
+      const std::uint64_t r = rng();
+      std::memcpy(block + i, &r, 8);
+    }
+    std::uint32_t actual[8];
+    std::memcpy(actual, expected, sizeof actual);
+    sha256_compress_scalar(expected, block);
+    kernel(actual, block);
+    ASSERT_TRUE(std::equal(expected, expected + 8, actual))
+        << "pair " << pair;
+  }
+}
+
+TEST(Sha256Kernel, Fips180VectorsOnEveryKernel) {
+  // FIPS 180-4 examples plus the ragged messages, under every kernel, each
+  // ticking one logical sha2 block per padded block.
+  const auto messages = ragged_messages();
+  std::vector<std::string> reference;
+  {
+    ScopedSha1Scalar scoped(true);
+    for (const auto& message : messages)
+      reference.push_back(hex(Sha256::hash(
+          std::span<const std::uint8_t>(message.data(), message.size()))));
+  }
+  for (const bool scalar : {true, false}) {
+    ScopedSha1Scalar scoped(scalar);
+    EXPECT_EQ(
+        hex(Sha256::hash(std::string_view{})),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+        << kernel_name(scalar);
+    EXPECT_EQ(
+        hex(Sha256::hash(std::string_view{"abc"})),
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+        << kernel_name(scalar);
+    EXPECT_EQ(
+        hex(Sha256::hash(std::string_view{
+            "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"})),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+        << kernel_name(scalar);
+    Sha256 h;
+    const std::string chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    EXPECT_EQ(
+        hex(h.finalize()),
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+        << kernel_name(scalar);
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      CostMeter::reset();
+      EXPECT_EQ(hex(Sha256::hash(std::span<const std::uint8_t>(
+                    messages[i].data(), messages[i].size()))),
+                reference[i])
+          << kernel_name(scalar) << " message " << i;
+      EXPECT_EQ(CostMeter::sha2_blocks(),
+                (messages[i].size() + 8) / Sha256::kBlockSize + 1)
+          << kernel_name(scalar) << " message " << i;
+    }
+  }
+}
+
+TEST(Sha256Kernel, Rfc4231HmacOnEveryKernel) {
+  struct Case {
+    std::vector<std::uint8_t> key;
+    std::vector<std::uint8_t> data;
+    const char* mac;
+  };
+  const std::vector<Case> cases = {
+      {std::vector<std::uint8_t>(20, 0x0b), bytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {bytes("Jefe"), bytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {std::vector<std::uint8_t>(20, 0xaa), std::vector<std::uint8_t>(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {std::vector<std::uint8_t>(131, 0xaa),
+       bytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (const bool scalar : {true, false}) {
+    ScopedSha1Scalar scoped(scalar);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      EXPECT_EQ(hex(Hmac<Sha256>::mac(
+                    std::span<const std::uint8_t>(cases[i].key),
+                    std::span<const std::uint8_t>(cases[i].data))),
+                cases[i].mac)
+          << kernel_name(scalar) << " case " << i;
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 // NSEC3 owner names and the hash-circle covering test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "crypto/signing.hpp"
 #include "dns/dnssec.hpp"
 
@@ -19,6 +22,14 @@ DnskeyRdata test_key(std::string_view seed, bool ksk = false) {
   return key;
 }
 
+/// The signed data of `set` under its own owner.
+std::vector<std::uint8_t> signed_data(const RrsigRdata& presig,
+                                      const RrSet& set) {
+  std::vector<std::uint8_t> out;
+  build_signed_data(presig, set, set.name, out);
+  return out;
+}
+
 TEST(SignedData, ChangesWithRdataOrderButNotInputOrder) {
   RrSet set;
   set.name = Name::must_parse("example.com");
@@ -33,9 +44,9 @@ TEST(SignedData, ChangesWithRdataOrderButNotInputOrder) {
   presig.signer = Name::must_parse("example.com");
 
   set.rdatas = {a, b};
-  const auto data1 = build_signed_data(presig, set);
+  const auto data1 = signed_data(presig, set);
   set.rdatas = {b, a};
-  const auto data2 = build_signed_data(presig, set);
+  const auto data2 = signed_data(presig, set);
   EXPECT_EQ(data1, data2) << "rdata must be canonically sorted before signing";
 }
 
@@ -49,7 +60,7 @@ TEST(SignedData, OwnerNameLowercased) {
 
   RrsigRdata presig;
   presig.signer = Name::must_parse("example.com");
-  EXPECT_EQ(build_signed_data(presig, upper), build_signed_data(presig, lower));
+  EXPECT_EQ(signed_data(presig, upper), signed_data(presig, lower));
 }
 
 TEST(SignedData, UsesOriginalTtlNotCurrentTtl) {
@@ -64,7 +75,7 @@ TEST(SignedData, UsesOriginalTtlNotCurrentTtl) {
   presig.signer = Name::must_parse("example.com");
   RrSet fresh = set;
   fresh.ttl = 300;
-  EXPECT_EQ(build_signed_data(presig, set), build_signed_data(presig, fresh));
+  EXPECT_EQ(signed_data(presig, set), signed_data(presig, fresh));
 }
 
 TEST(SignedData, DuplicateRdatasCollapse) {
@@ -77,7 +88,104 @@ TEST(SignedData, DuplicateRdatasCollapse) {
   single.rdatas = {a};
   RrsigRdata presig;
   presig.signer = Name::must_parse("example.com");
-  EXPECT_EQ(build_signed_data(presig, set), build_signed_data(presig, single));
+  EXPECT_EQ(signed_data(presig, set), signed_data(presig, single));
+}
+
+/// The signed-data builder as it stood when it returned a fresh vector:
+/// pre-signature fields with the signer as to_wire() spells it, then a copy
+/// of the rdatas sorted and deduplicated, each under the lowercased owner.
+/// The reference the reusing builder must match byte for byte.
+std::vector<std::uint8_t> reference_signed_data(const RrsigRdata& presig,
+                                                const RrSet& rrset) {
+  std::vector<std::uint8_t> out;
+  const auto u16 = [&](std::uint16_t v) {
+    out.push_back(static_cast<std::uint8_t>(v >> 8));
+    out.push_back(static_cast<std::uint8_t>(v));
+  };
+  const auto u32 = [&](std::uint32_t v) {
+    u16(static_cast<std::uint16_t>(v >> 16));
+    u16(static_cast<std::uint16_t>(v));
+  };
+  u16(presig.type_covered);
+  out.push_back(presig.algorithm);
+  out.push_back(presig.labels);
+  u32(presig.original_ttl);
+  u32(presig.expiration);
+  u32(presig.inception);
+  u16(presig.key_tag);
+  const auto signer = presig.signer.to_wire();
+  out.insert(out.end(), signer.begin(), signer.end());
+
+  std::vector<RdataBytes> sorted = rrset.rdatas;
+  std::sort(sorted.begin(), sorted.end(), canonical_rdata_less);
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  const auto owner = rrset.name.to_canonical_wire();
+  for (const auto& rdata : sorted) {
+    out.insert(out.end(), owner.begin(), owner.end());
+    u16(static_cast<std::uint16_t>(rrset.type));
+    u16(static_cast<std::uint16_t>(rrset.klass));
+    u32(presig.original_ttl);
+    u16(static_cast<std::uint16_t>(rdata.size()));
+    out.insert(out.end(), rdata.begin(), rdata.end());
+  }
+  return out;
+}
+
+TEST(SignedData, MatchesTheReferenceBuilderInAReusedBuffer) {
+  std::mt19937 rng(0x4034);
+  const auto rdata = [&](std::size_t max) {
+    RdataBytes out(rng() % (max + 1));
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng() % 4);
+    return out;
+  };
+  RrsigRdata presig;
+  presig.type_covered = static_cast<std::uint16_t>(RrType::kTxt);
+  presig.algorithm = 253;
+  presig.labels = 3;
+  presig.original_ttl = 3600;
+  presig.expiration = 1800000000;
+  presig.inception = 1700000000;
+  presig.key_tag = 4711;
+  presig.signer = Name::must_parse("Example.COM");
+
+  struct Case {
+    const char* what;
+    RrSet rrset;
+    Name owner;  // the owner the RRSIG covers
+  };
+  std::vector<Case> cases;
+  const auto make_set = [&](const char* owner, std::size_t count) {
+    RrSet set;
+    set.name = Name::must_parse(owner);
+    set.type = RrType::kTxt;
+    set.ttl = 17;  // a cache-decremented TTL the signed data must not see
+    for (std::size_t i = 0; i < count; ++i) set.rdatas.push_back(rdata(6));
+    return set;
+  };
+  cases.push_back({"unsorted", make_set("www.example.com", 9), {}});
+  {
+    RrSet set = make_set("www.example.com", 5);
+    set.rdatas.push_back(set.rdatas[1]);
+    set.rdatas.insert(set.rdatas.begin(), set.rdatas[3]);
+    cases.push_back({"duplicates", set, {}});
+  }
+  cases.push_back({"uppercase owner", make_set("WWW.Example.COM", 4), {}});
+  cases.push_back({"past the stack order", make_set("big.example.com", 40), {}});
+  cases.push_back({"empty", make_set("none.example.com", 0), {}});
+  for (auto& c : cases) c.owner = c.rrset.name;
+  {
+    RrSet expanded = make_set("a.b.example.com", 3);
+    cases.push_back({"wildcard-expanded", expanded,
+                     Name::must_parse("*.b.example.com")});
+  }
+
+  std::vector<std::uint8_t> reused(300, 0xee);  // stale bytes to replace
+  for (const Case& c : cases) {
+    RrSet as_signed = c.rrset;
+    as_signed.name = c.owner;
+    build_signed_data(presig, c.rrset, c.owner, reused);
+    EXPECT_EQ(reused, reference_signed_data(presig, as_signed)) << c.what;
+  }
 }
 
 TEST(Ds, MatchesOwnKey) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "dns/message.hpp"
@@ -281,6 +283,145 @@ TEST(Message, WireSizeMatchesEncodingWithCompression) {
       Name::must_parse("tail.far.example.org"), 60, "y"));
   ASSERT_GT(big.to_wire().size(), 0x4000u);
   EXPECT_EQ(big.wire_size(), big.to_wire().size());
+}
+
+/// Size of `msg` with every name written out in full: the bound fits_in()
+/// tries before it pays for compression.
+std::size_t uncompressed_size(const Message& msg) {
+  std::size_t size = 12;
+  for (const auto& q : msg.questions) size += q.name.to_wire().size() + 4;
+  for (const auto* section : {&msg.answers, &msg.authorities,
+                              &msg.additionals}) {
+    for (const auto& rr : *section)
+      size += rr.name.to_wire().size() + 10 + rr.rdata.size();
+  }
+  if (msg.edns) {
+    size += 11;
+    for (const auto& option : msg.edns->options)
+      size += 4 + option.data.size();
+  }
+  return size;
+}
+
+/// A seeded message whose names share suffixes (and differ in case), so
+/// compression has work to do, with an OPT record carrying options.
+Message random_message(std::mt19937& rng) {
+  static const char* const kLabels[] = {"a",  "Bb",    "example", "COM",
+                                        "org", "ns1",  "www",     "x",
+                                        "rfc9276-in-the-wild"};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto name = [&] {
+    std::vector<std::string> labels;
+    const std::size_t count = pick(5);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::string label = kLabels[pick(std::size(kLabels))];
+      if (pick(4) == 0) label = std::string(1 + pick(63), 'q');
+      labels.push_back(std::move(label));
+    }
+    return Name::from_labels(std::move(labels)).value_or(Name::root());
+  };
+  const auto bytes = [&](std::size_t max) {
+    std::vector<std::uint8_t> out(pick(max + 1));
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+    return out;
+  };
+  Message msg;
+  msg.header.id = static_cast<std::uint16_t>(rng());
+  msg.header.qr = true;
+  for (std::size_t i = pick(3); i > 0; --i)
+    msg.questions.push_back(Question{name(), RrType::kA, RrClass::kIn});
+  for (auto* section : {&msg.answers, &msg.authorities, &msg.additionals}) {
+    for (std::size_t i = pick(7); i > 0; --i) {
+      section->push_back(ResourceRecord{name(), RrType::kTxt, RrClass::kIn,
+                                        300, bytes(120)});
+    }
+  }
+  if (pick(4) != 0) {
+    Edns edns;
+    for (std::size_t i = pick(4); i > 0; --i)
+      edns.options.push_back(EdnsOption{static_cast<std::uint16_t>(rng()),
+                                        bytes(40)});
+    msg.edns = std::move(edns);
+  }
+  return msg;
+}
+
+TEST(MessageFitsIn, AgreesWithWireSizeAtEveryLimitNearTheSize) {
+  // Limits around the compressed size and around the uncompressed bound:
+  // fits_in(l) must be exactly wire_size() <= l on both sides of each.
+  std::mt19937 rng(0xf17510);
+  std::size_t compressed_below_bound = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const Message msg = random_message(rng);
+    const std::size_t size = msg.wire_size();
+    ASSERT_EQ(size, msg.to_wire().size()) << "round " << round;
+    const std::size_t bound = uncompressed_size(msg);
+    ASSERT_LE(size, bound) << "round " << round;
+    if (size < bound) ++compressed_below_bound;
+    for (const std::size_t centre : {size, bound}) {
+      for (std::size_t limit = centre - 2; limit <= centre + 2; ++limit) {
+        EXPECT_EQ(msg.fits_in(limit), size <= limit)
+            << "round " << round << " limit " << limit << " size " << size
+            << " bound " << bound;
+      }
+    }
+  }
+  // The draw must exercise the fallback: most messages compress.
+  EXPECT_GT(compressed_below_bound, 1000u);
+}
+
+TEST(MessageFitsIn, FitsOnlyOnceCompressed) {
+  // Twenty-five records under one long owner: the bound is far over 512,
+  // the compressed message is not.
+  Message msg = Message::make_response(Message::make_query(
+      1, Name::must_parse("www.a-rather-long-zone-name.example.com"),
+      RrType::kTxt));
+  for (int i = 0; i < 25; ++i) {
+    msg.answers.push_back(make_txt(
+        Name::must_parse("www.a-rather-long-zone-name.example.com"), 60,
+        std::to_string(i)));
+  }
+  ASSERT_GT(uncompressed_size(msg), 512u);
+  ASSERT_LE(msg.wire_size(), 512u);
+  EXPECT_TRUE(msg.fits_in(512));
+  EXPECT_TRUE(msg.fits_in(msg.wire_size()));
+  EXPECT_FALSE(msg.fits_in(msg.wire_size() - 1));
+}
+
+TEST(MessageFitsIn, Nsec3ProofNxdomainAtTheUdpLimits) {
+  // The Fig. 3 answer shape: NXDOMAIN with SOA and three NSEC3 records, each
+  // with its RRSIG, at the classic 512-byte limit and the 1232-byte EDNS
+  // default.
+  const Name zone = Name::must_parse("it-500.rfc9276-in-the-wild.com");
+  Message msg = Message::make_response(Message::make_query(
+      1, Name::must_parse("x.nx.it-500.rfc9276-in-the-wild.com"), RrType::kA));
+  msg.header.rcode = Rcode::kNxDomain;
+  msg.authorities.push_back(
+      make_soa(zone, 3600, Name::must_parse("ns1.example.net"), 1));
+  for (int i = 0; i < 3; ++i) {
+    Nsec3Rdata nsec3;
+    nsec3.iterations = 500;
+    nsec3.next_hash.assign(20, static_cast<std::uint8_t>(i * 40 + 7));
+    nsec3.types = TypeBitmap({RrType::kA, RrType::kRrsig});
+    const Name owner = *zone.prepended(std::string(32, 'a' + i));
+    msg.authorities.push_back(
+        ResourceRecord::make(owner, RrType::kNsec3, 3600, nsec3));
+    RrsigRdata sig;
+    sig.type_covered = static_cast<std::uint16_t>(RrType::kNsec3);
+    sig.signer = zone;
+    sig.signature.assign(32, 0x42);
+    msg.authorities.push_back(
+        ResourceRecord::make(owner, RrType::kRrsig, 3600, sig));
+  }
+  const std::size_t size = msg.wire_size();
+  ASSERT_GT(size, 512u);
+  ASSERT_LE(size, 1232u);
+  EXPECT_FALSE(msg.fits_in(512));
+  EXPECT_TRUE(msg.fits_in(1232));
+  EXPECT_TRUE(msg.fits_in(size));
+  EXPECT_FALSE(msg.fits_in(size - 1));
 }
 
 TEST(Message, SummaryMentionsRcodeAndQuestion) {

@@ -375,7 +375,8 @@ simnet::TamperHook rewrite_nsec3(Name zone,
         if (!sig || sig->covered() != RrType::kNsec3) continue;
         const auto key =
             crypto::SimKey::derive(sig->signer.to_string() + "/zsk");
-        const auto data = dns::build_signed_data(*sig, set);
+        std::vector<std::uint8_t> data;
+        dns::build_signed_data(*sig, set, set.name, data);
         const auto signature =
             key.sign(std::span<const std::uint8_t>(data.data(), data.size()));
         sig->signature.assign(signature.begin(), signature.end());

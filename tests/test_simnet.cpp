@@ -311,9 +311,10 @@ TEST(NetworkTransport, NonEdnsClientsGet512ByteBudget) {
   EXPECT_TRUE(response->header.tc);
 }
 
-// The truncation decision now asks wire_size() instead of serialising and
-// measuring; this pins the cutover at the exact 512-byte boundary and the
-// truncated response's wire bytes — neither may change.
+// The truncation decision asks fits_in() (the uncompressed bound, then
+// wire_size()) instead of serialising and measuring; this pins the cutover
+// at the exact 512-byte boundary of a compressed answer and the truncated
+// response's wire bytes — neither may change.
 TEST(NetworkTransport, TruncationBoundaryAndWireBytesUnchanged) {
   Network network;
   const auto server = IpAddress::v4(192, 0, 2, 1);

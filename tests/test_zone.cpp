@@ -274,7 +274,8 @@ TEST(Signer, SignaturesVerify) {
     ASSERT_TRUE(sig);
     if (sig->covered() != RrType::kA) continue;
     EXPECT_EQ(sig->key_tag, result.zsk.key_tag());
-    const auto data = dns::build_signed_data(*sig, *a_set);
+    std::vector<std::uint8_t> data;
+    dns::build_signed_data(*sig, *a_set, a_set->name, data);
     crypto::SimPublicKey pk{};
     std::copy(result.zsk.public_key.begin(), result.zsk.public_key.end(),
               pk.begin());
