@@ -20,6 +20,10 @@ class ByteWriter {
   /// so a buffer its owner reuses stops allocating once it has grown.
   explicit ByteWriter(std::vector<std::uint8_t> out) : out_(std::move(out)) {}
 
+  /// Sizes the buffer for `n` more bytes, so an encoder that knows its
+  /// length hands back a vector without slack.
+  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
+
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v) {
     out_.push_back(static_cast<std::uint8_t>(v >> 8));

@@ -1,39 +1,32 @@
 #include "dns/message.hpp"
 
-#include <map>
+#include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "dns/io.hpp"
 
 namespace zh::dns {
 namespace {
 
+/// ASCII lowercase; label lengths (≤ 63) pass through unchanged.
+std::uint8_t fold(std::uint8_t c) noexcept {
+  return (c >= 'A' && c <= 'Z') ? static_cast<std::uint8_t>(c - 'A' + 'a')
+                                : c;
+}
+
 /// Writes names with RFC 1035 §4.1.4 compression, remembering every suffix
-/// it has emitted at a pointer-reachable offset.
+/// it has emitted at a pointer-reachable offset. A suffix is kept as a
+/// view into its name's buffer — the message's names outlive the
+/// compressor, which lives for one to_wire() or wire_size() — in an
+/// open-addressed table, matched case-insensitively. The first offset
+/// registered for a suffix is the one every later pointer targets.
 class NameCompressor {
  public:
   void write(ByteWriter& w, const Name& name) {
-    // Find the longest already-emitted suffix.
-    std::size_t skip = 0;  // labels written literally before the pointer
     std::optional<std::uint16_t> pointer;
-    for (; skip < name.label_count(); ++skip) {
-      const std::string key = suffix_key(name, skip);
-      const auto it = offsets_.find(key);
-      if (it != offsets_.end()) {
-        pointer = it->second;
-        break;
-      }
-    }
-    // Emit literal labels, registering each new suffix offset.
-    for (std::size_t i = 0; i < skip; ++i) {
-      if (w.size() < 0x4000) {
-        offsets_.emplace(suffix_key(name, i),
-                         static_cast<std::uint16_t>(w.size()));
-      }
-      const std::string& label = name.label(i);
-      w.u8(static_cast<std::uint8_t>(label.size()));
-      w.bytes(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(label.data()), label.size()));
-    }
+    const std::size_t literal = plan(name, w.size(), pointer);
+    w.bytes(name.wire().first(literal));
     if (pointer) {
       w.u16(static_cast<std::uint16_t>(0xc000 | *pointer));
     } else {
@@ -46,47 +39,111 @@ class NameCompressor {
   /// name-by-name compresses identically to one actually serialised —
   /// wire_size() == to_wire().size() holds exactly.
   std::size_t measure(std::size_t at, const Name& name) {
-    std::size_t skip = 0;
-    bool pointer = false;
-    for (; skip < name.label_count(); ++skip) {
-      if (offsets_.find(suffix_key(name, skip)) != offsets_.end()) {
-        pointer = true;
-        break;
-      }
-    }
-    std::size_t size = 0;
-    for (std::size_t i = 0; i < skip; ++i) {
-      if (at + size < 0x4000) {
-        offsets_.emplace(suffix_key(name, i),
-                         static_cast<std::uint16_t>(at + size));
-      }
-      size += 1 + name.label(i).size();
-    }
-    return size + (pointer ? 2 : 1);
+    std::optional<std::uint16_t> pointer;
+    const std::size_t literal = plan(name, at, pointer);
+    return literal + (pointer ? 2 : 1);
   }
 
  private:
-  static std::string suffix_key(const Name& name, std::size_t from_label) {
-    std::string key;
-    for (std::size_t i = from_label; i < name.label_count(); ++i) {
-      const std::string& label = name.label(i);
-      key.push_back(static_cast<char>(label.size()));
-      for (const char c : label)
-        key.push_back(
-            (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c);
+  struct Slot {
+    const std::uint8_t* suffix = nullptr;  // nullptr: empty slot
+    std::uint32_t hash = 0;
+    std::uint16_t offset = 0;
+    std::uint8_t length = 0;  // suffix octets, root octet included
+  };
+
+  /// Finds the longest registered suffix of `name` (its offset goes to
+  /// `pointer`), registers every longer suffix at its offset from `at`
+  /// while that offset is below 0x4000, and returns how many octets
+  /// precede the pointer (or the root octet).
+  std::size_t plan(const Name& name, std::size_t at,
+                   std::optional<std::uint16_t>& pointer) {
+    const std::uint8_t* wire = name.wire().data();
+    const std::size_t length = name.wire_length();
+    std::array<std::uint8_t, 128> starts;
+    std::size_t labels = 0;
+    for (std::size_t pos = 0; wire[pos] != 0; pos += 1 + wire[pos])
+      starts[labels++] = static_cast<std::uint8_t>(pos);
+    // Suffix hashes, folded label by label from the root leftwards.
+    std::array<std::uint32_t, 128> hashes;
+    std::uint32_t h = 2166136261u;
+    for (std::size_t i = labels; i-- > 0;) {
+      const std::uint8_t* label = wire + starts[i];
+      for (std::size_t k = 0; k <= label[0]; ++k) {
+        h ^= fold(label[k]);
+        h *= 16777619u;
+      }
+      hashes[i] = h;
     }
-    return key;
+    std::size_t skip = 0;  // labels written literally before the pointer
+    for (; skip < labels; ++skip) {
+      if (const Slot* hit = find(wire + starts[skip], length - starts[skip],
+                                 hashes[skip])) {
+        pointer = hit->offset;
+        break;
+      }
+    }
+    for (std::size_t i = 0; i < skip && at + starts[i] < 0x4000; ++i)
+      insert(Slot{wire + starts[i], hashes[i],
+                  static_cast<std::uint16_t>(at + starts[i]),
+                  static_cast<std::uint8_t>(length - starts[i])});
+    return skip < labels ? starts[skip] : length - 1;
   }
 
-  std::map<std::string, std::uint16_t> offsets_;
+  static bool same_suffix(const std::uint8_t* a, const std::uint8_t* b,
+                          std::size_t n) noexcept {
+    for (std::size_t i = 0; i < n; ++i)
+      if (fold(a[i]) != fold(b[i])) return false;
+    return true;
+  }
+
+  const Slot* find(const std::uint8_t* suffix, std::size_t length,
+                   std::uint32_t hash) const {
+    if (slots_.empty()) return nullptr;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.suffix == nullptr) return nullptr;
+      if (slot.hash == hash && slot.length == length &&
+          same_suffix(slot.suffix, suffix, length))
+        return &slot;
+    }
+  }
+
+  void insert(const Slot& entry) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = entry.hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.suffix == nullptr) {
+        slot = entry;
+        ++used_;
+        return;
+      }
+      if (slot.hash == entry.hash && slot.length == entry.length &&
+          same_suffix(slot.suffix, entry.suffix, entry.length))
+        return;  // first registration wins
+    }
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(32, 2 * slots_.size()));
+    old.swap(slots_);
+    used_ = 0;
+    for (const Slot& slot : old)
+      if (slot.suffix != nullptr) insert(slot);
+  }
+
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  std::size_t used_ = 0;
 };
 
 /// Reads a possibly-compressed name; `r` advances past the name's in-place
 /// bytes only. Pointers must target strictly earlier offsets (loop-proof).
 /// On failure `err` says why (left untouched on success).
 std::optional<Name> read_compressed_name(ByteReader& r, WireErrc& err) {
-  std::vector<std::string> labels;
-  std::size_t total = 1;
+  std::array<std::uint8_t, Name::kMaxWireLength> name;  // the uncompressed wire
+  std::size_t length = 0;
 
   std::size_t pos = r.position();
   const std::span<const std::uint8_t> wire = r.whole();
@@ -117,13 +174,15 @@ std::optional<Name> read_compressed_name(ByteReader& r, WireErrc& err) {
       break;
     }
     if (pos + 1 + len > wire.size()) return fail(WireErrc::kTruncated);
-    labels.emplace_back(reinterpret_cast<const char*>(&wire[pos + 1]), len);
-    total += 1 + len;
-    if (total > Name::kMaxWireLength) return fail(WireErrc::kNameTooLong);
-    pos += 1 + len;
+    if (length + 1 + len + 1 > Name::kMaxWireLength)
+      return fail(WireErrc::kNameTooLong);
+    std::memcpy(name.data() + length, &wire[pos], 1 + std::size_t{len});
+    length += 1 + std::size_t{len};
+    pos += 1 + std::size_t{len};
   }
   if (!r.seek(*resume)) return fail(WireErrc::kTruncated);
-  return Name::from_labels(std::move(labels));
+  name[length++] = 0;
+  return Name::from_wire(std::span<const std::uint8_t>(name.data(), length));
 }
 
 /// Normalises rdata read from a message: types whose rdata embeds names
@@ -152,9 +211,7 @@ std::optional<RdataBytes> read_rdata(ByteReader& r, RrType type,
       auto name = read_compressed_name(r, err);
       if (!name) return std::nullopt;
       if (r.position() > end) return fail(WireErrc::kBadRdata);
-      ByteWriter w;
-      w.bytes(name->to_wire());
-      return finish(w.take());
+      return finish(name->to_wire());
     }
     case RrType::kMx: {
       const auto pref = r.u16();
@@ -163,8 +220,9 @@ std::optional<RdataBytes> read_rdata(ByteReader& r, RrType type,
       if (!name) return std::nullopt;
       if (r.position() > end) return fail(WireErrc::kBadRdata);
       ByteWriter w;
+      w.reserve(2 + name->wire_length());
       w.u16(*pref);
-      w.bytes(name->to_wire());
+      w.bytes(name->wire());
       return finish(w.take());
     }
     case RrType::kSoa: {
@@ -174,8 +232,9 @@ std::optional<RdataBytes> read_rdata(ByteReader& r, RrType type,
       if (!rname) return std::nullopt;
       if (r.position() + 20 > end) return fail(WireErrc::kBadRdata);
       ByteWriter w;
-      w.bytes(mname->to_wire());
-      w.bytes(rname->to_wire());
+      w.reserve(mname->wire_length() + rname->wire_length() + 20);
+      w.bytes(mname->wire());
+      w.bytes(rname->wire());
       for (int i = 0; i < 5; ++i) {
         const auto v = r.u32();
         if (!v) return fail(WireErrc::kTruncated);

@@ -2,36 +2,117 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace zh::dns {
 namespace {
 
-char ascii_lower(char c) noexcept {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+std::uint8_t ascii_lower(std::uint8_t c) noexcept {
+  return (c >= 'A' && c <= 'Z') ? static_cast<std::uint8_t>(c - 'A' + 'a')
+                                : c;
 }
 
-bool label_equal_ci(std::string_view a, std::string_view b) noexcept {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
+/// Case-insensitive equality of two wire spans. Label lengths (≤ 63) are
+/// below 'A', so folding leaves them alone and the same fold serves
+/// lengths and label bytes.
+bool equal_ci(const std::uint8_t* a, const std::uint8_t* b,
+              std::size_t n) noexcept {
+  if (std::memcmp(a, b, n) == 0) return true;
+  for (std::size_t i = 0; i < n; ++i)
     if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
   return true;
 }
 
-std::strong_ordering label_compare_ci(std::string_view a,
-                                      std::string_view b) noexcept {
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto ca = static_cast<unsigned char>(ascii_lower(a[i]));
-    const auto cb = static_cast<unsigned char>(ascii_lower(b[i]));
+/// Lowercase octet-string order of two labels (length octet first).
+std::strong_ordering label_compare_ci(const std::uint8_t* a,
+                                      const std::uint8_t* b) noexcept {
+  const std::size_t n = std::min(a[0], b[0]);
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::uint8_t ca = ascii_lower(a[i]);
+    const std::uint8_t cb = ascii_lower(b[i]);
     if (ca != cb) return ca <=> cb;
   }
-  return a.size() <=> b.size();
+  return a[0] <=> b[0];
+}
+
+/// Start offsets of every label, leftmost first; returns the label count.
+std::size_t label_offsets(const std::uint8_t* wire,
+                          std::array<std::uint8_t, 128>& out) noexcept {
+  std::size_t count = 0;
+  for (std::size_t pos = 0; wire[pos] != 0; pos += 1 + wire[pos])
+    out[count++] = static_cast<std::uint8_t>(pos);
+  return count;
 }
 
 }  // namespace
+
+Name::Name(const Name& other) : length_(other.length_), labels_(other.labels_) {
+  if (other.spilled()) {
+    auto* block = new std::uint8_t[length_];
+    std::memcpy(block, other.heap(), length_);
+    std::memcpy(bytes_, &block, sizeof block);
+  } else {
+    std::memcpy(bytes_, other.bytes_, kInlineCapacity);
+  }
+}
+
+Name::Name(Name&& other) noexcept
+    : length_(other.length_), labels_(other.labels_) {
+  std::memcpy(bytes_, other.bytes_, kInlineCapacity);  // bytes or the block
+  if (other.spilled()) {
+    other.length_ = 1;
+    other.labels_ = 0;
+    other.bytes_[0] = 0;
+  }
+}
+
+Name& Name::operator=(const Name& other) {
+  if (this != &other) *this = Name(other);
+  return *this;
+}
+
+Name& Name::operator=(Name&& other) noexcept {
+  if (this == &other) return *this;
+  if (spilled()) delete[] heap();
+  std::memcpy(bytes_, other.bytes_, kInlineCapacity);
+  length_ = other.length_;
+  labels_ = other.labels_;
+  if (other.spilled()) {
+    other.length_ = 1;
+    other.labels_ = 0;
+    other.bytes_[0] = 0;
+  }
+  return *this;
+}
+
+Name::~Name() {
+  if (spilled()) delete[] heap();
+}
+
+std::uint8_t* Name::heap() const noexcept {
+  std::uint8_t* block;
+  std::memcpy(&block, bytes_, sizeof block);
+  return block;
+}
+
+std::uint8_t* Name::assign_storage(std::size_t length, std::size_t labels) {
+  length_ = static_cast<std::uint8_t>(length);
+  labels_ = static_cast<std::uint8_t>(labels);
+  if (!spilled()) return bytes_;
+  auto* block = new std::uint8_t[length];
+  std::memcpy(bytes_, &block, sizeof block);
+  return block;
+}
+
+std::size_t Name::offset_of_suffix(std::size_t labels) const noexcept {
+  const std::uint8_t* wire = data();
+  std::size_t pos = 0;
+  for (std::size_t skip = labels_ - labels; skip > 0; --skip)
+    pos += 1 + wire[pos];
+  return pos;
+}
 
 std::optional<Name> Name::parse(std::string_view text) {
   if (text.empty()) return std::nullopt;
@@ -40,19 +121,24 @@ std::optional<Name> Name::parse(std::string_view text) {
   if (text.back() == '.') text.remove_suffix(1);
   if (text.empty()) return std::nullopt;
 
-  std::vector<std::string> labels;
+  std::array<std::uint8_t, kMaxWireLength> wire;
+  std::size_t length = 0;
   std::size_t start = 0;
-  while (start <= text.size()) {
+  for (;;) {
     const std::size_t dot = text.find('.', start);
     const std::string_view label =
         text.substr(start, dot == std::string_view::npos ? std::string_view::npos
                                                          : dot - start);
     if (label.empty() || label.size() > kMaxLabelLength) return std::nullopt;
-    labels.emplace_back(label);
+    if (length + 1 + label.size() + 1 > kMaxWireLength) return std::nullopt;
+    wire[length++] = static_cast<std::uint8_t>(label.size());
+    std::memcpy(wire.data() + length, label.data(), label.size());
+    length += label.size();
     if (dot == std::string_view::npos) break;
     start = dot + 1;
   }
-  return from_labels(std::move(labels));
+  wire[length++] = 0;
+  return from_wire(std::span<const std::uint8_t>(wire.data(), length));
 }
 
 Name Name::must_parse(std::string_view text) {
@@ -66,53 +152,73 @@ Name Name::must_parse(std::string_view text) {
 }
 
 std::optional<Name> Name::from_labels(std::vector<std::string> labels) {
-  std::size_t wire = 1;  // root terminator
+  std::array<std::uint8_t, kMaxWireLength> wire;
+  std::size_t length = 0;
   for (const auto& label : labels) {
     if (label.empty() || label.size() > kMaxLabelLength) return std::nullopt;
-    wire += 1 + label.size();
+    if (length + 1 + label.size() + 1 > kMaxWireLength) return std::nullopt;
+    wire[length++] = static_cast<std::uint8_t>(label.size());
+    std::memcpy(wire.data() + length, label.data(), label.size());
+    length += label.size();
   }
-  if (wire > kMaxWireLength) return std::nullopt;
+  wire[length++] = 0;
+  return from_wire(std::span<const std::uint8_t>(wire.data(), length));
+}
+
+std::optional<Name> Name::from_wire(std::span<const std::uint8_t> wire) {
+  if (wire.empty() || wire.size() > kMaxWireLength) return std::nullopt;
+  std::size_t labels = 0;
+  std::size_t pos = 0;
+  for (; wire[pos] != 0; ++labels) {
+    if (wire[pos] > kMaxLabelLength) return std::nullopt;
+    pos += 1 + wire[pos];
+    if (pos >= wire.size()) return std::nullopt;
+  }
+  if (pos + 1 != wire.size()) return std::nullopt;
   Name name;
-  name.labels_ = std::move(labels);
+  std::memcpy(name.assign_storage(wire.size(), labels), wire.data(),
+              wire.size());
   return name;
 }
 
-std::size_t Name::wire_length() const noexcept {
-  std::size_t wire = 1;
-  for (const auto& label : labels_) wire += 1 + label.size();
-  return wire;
+std::string_view Name::label(std::size_t i) const noexcept {
+  const std::uint8_t* wire = data();
+  std::size_t pos = 0;
+  for (; i > 0; --i) pos += 1 + wire[pos];
+  return {reinterpret_cast<const char*>(wire + pos + 1), wire[pos]};
 }
 
 bool Name::equals(const Name& other) const noexcept {
-  if (labels_.size() != other.labels_.size()) return false;
-  for (std::size_t i = 0; i < labels_.size(); ++i)
-    if (!label_equal_ci(labels_[i], other.labels_[i])) return false;
-  return true;
+  return length_ == other.length_ && labels_ == other.labels_ &&
+         equal_ci(data(), other.data(), length_);
 }
 
 bool Name::is_subdomain_of(const Name& ancestor) const noexcept {
-  if (ancestor.labels_.size() > labels_.size()) return false;
-  const std::size_t offset = labels_.size() - ancestor.labels_.size();
-  for (std::size_t i = 0; i < ancestor.labels_.size(); ++i)
-    if (!label_equal_ci(labels_[offset + i], ancestor.labels_[i]))
-      return false;
-  return true;
+  if (ancestor.labels_ > labels_ || ancestor.length_ > length_) return false;
+  const std::size_t offset = offset_of_suffix(ancestor.labels_);
+  return length_ - offset == ancestor.length_ &&
+         equal_ci(data() + offset, ancestor.data(), ancestor.length_);
 }
 
 Name Name::ancestor_with_labels(std::size_t label_count) const {
-  Name p;
-  if (label_count >= labels_.size()) return *this;
-  p.labels_.assign(labels_.end() - static_cast<std::ptrdiff_t>(label_count),
-                   labels_.end());
-  return p;
+  if (label_count >= labels_) return *this;
+  const std::size_t offset = offset_of_suffix(label_count);
+  Name out;
+  std::memcpy(out.assign_storage(length_ - offset, label_count),
+              data() + offset, length_ - offset);
+  return out;
 }
 
 std::optional<Name> Name::prepended(std::string_view label) const {
-  std::vector<std::string> labels;
-  labels.reserve(labels_.size() + 1);
-  labels.emplace_back(label);
-  labels.insert(labels.end(), labels_.begin(), labels_.end());
-  return from_labels(std::move(labels));
+  if (label.empty() || label.size() > kMaxLabelLength) return std::nullopt;
+  const std::size_t length = 1 + label.size() + length_;
+  if (length > kMaxWireLength) return std::nullopt;
+  Name out;
+  std::uint8_t* wire = out.assign_storage(length, labels_ + 1u);
+  wire[0] = static_cast<std::uint8_t>(label.size());
+  std::memcpy(wire + 1, label.data(), label.size());
+  std::memcpy(wire + 1 + label.size(), data(), length_);
+  return out;
 }
 
 Name Name::wildcard_child() const {
@@ -123,59 +229,37 @@ Name Name::wildcard_child() const {
 }
 
 std::vector<std::uint8_t> Name::to_wire() const {
-  std::vector<std::uint8_t> wire;
-  wire.reserve(wire_length());
-  for (const auto& label : labels_) {
-    wire.push_back(static_cast<std::uint8_t>(label.size()));
-    wire.insert(wire.end(), label.begin(), label.end());
-  }
-  wire.push_back(0);
-  return wire;
+  const std::uint8_t* wire = data();
+  return std::vector<std::uint8_t>(wire, wire + length_);
 }
 
 std::vector<std::uint8_t> Name::to_canonical_wire() const {
-  std::array<std::uint8_t, kMaxWireLength> wire{};
+  std::array<std::uint8_t, kMaxWireLength> wire;
   const std::size_t length = write_canonical_wire(wire);
   return std::vector<std::uint8_t>(wire.begin(), wire.begin() + length);
 }
 
 std::size_t Name::write_canonical_wire(
     std::span<std::uint8_t, kMaxWireLength> out) const noexcept {
-  // The class invariant (wire length ≤ kMaxWireLength) keeps every write
-  // inside `out`.
-  std::size_t length = 0;
-  for (const auto& label : labels_) {
-    out[length++] = static_cast<std::uint8_t>(label.size());
-    for (const char c : label)
-      out[length++] = static_cast<std::uint8_t>(ascii_lower(c));
-  }
-  out[length++] = 0;
-  return length;
-}
-
-void Name::append_canonical_to(std::string& out) const {
-  std::array<std::uint8_t, kMaxWireLength> wire{};
-  const std::size_t length = write_canonical_wire(wire);
-  out.append(reinterpret_cast<const char*>(wire.data()), length);
+  const std::uint8_t* wire = data();
+  for (std::size_t i = 0; i < length_; ++i) out[i] = ascii_lower(wire[i]);
+  return length_;
 }
 
 Name Name::canonical() const {
-  Name out;
-  out.labels_.reserve(labels_.size());
-  for (const auto& label : labels_) {
-    std::string lower;
-    lower.reserve(label.size());
-    for (const char c : label) lower.push_back(ascii_lower(c));
-    out.labels_.push_back(std::move(lower));
-  }
+  Name out(*this);
+  std::uint8_t* wire = out.spilled() ? out.heap() : out.bytes_;
+  for (std::size_t i = 0; i < length_; ++i) wire[i] = ascii_lower(wire[i]);
   return out;
 }
 
 std::string Name::to_string() const {
-  if (labels_.empty()) return ".";
+  if (is_root()) return ".";
+  const std::uint8_t* wire = data();
   std::string out;
-  for (const auto& label : labels_) {
-    out += label;
+  out.reserve(length_ - 1u);
+  for (std::size_t pos = 0; wire[pos] != 0; pos += 1 + wire[pos]) {
+    out.append(reinterpret_cast<const char*>(wire + pos + 1), wire[pos]);
     out += '.';
   }
   return out;
@@ -183,26 +267,17 @@ std::string Name::to_string() const {
 
 std::strong_ordering Name::canonical_compare(const Name& a,
                                              const Name& b) noexcept {
-  const std::size_t na = a.labels_.size();
-  const std::size_t nb = b.labels_.size();
+  std::array<std::uint8_t, 128> offsets_a;
+  std::array<std::uint8_t, 128> offsets_b;
+  const std::uint8_t* wire_a = a.data();
+  const std::uint8_t* wire_b = b.data();
+  const std::size_t na = label_offsets(wire_a, offsets_a);
+  const std::size_t nb = label_offsets(wire_b, offsets_b);
   const std::size_t n = std::min(na, nb);
   // Compare right to left (most significant label first).
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto order =
-        label_compare_ci(a.labels_[na - 1 - i], b.labels_[nb - 1 - i]);
-    if (order != std::strong_ordering::equal) return order;
-  }
-  return na <=> nb;
-}
-
-std::strong_ordering Name::canonical_compare_suffix(
-    const Name& a, const NameSuffix& b) noexcept {
-  const std::size_t na = a.labels_.size();
-  const std::size_t nb = b.label_count();
-  const std::size_t n = std::min(na, nb);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto order =
-        label_compare_ci(a.labels_[na - 1 - i], b.label(nb - 1 - i));
+  for (std::size_t i = 1; i <= n; ++i) {
+    const auto order = label_compare_ci(wire_a + offsets_a[na - i],
+                                        wire_b + offsets_b[nb - i]);
     if (order != std::strong_ordering::equal) return order;
   }
   return na <=> nb;
@@ -211,14 +286,10 @@ std::strong_ordering Name::canonical_compare_suffix(
 std::size_t Name::hash() const noexcept {
   // FNV-1a over the canonical wire form, label lengths included.
   std::size_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
+  const std::uint8_t* wire = data();
+  for (std::size_t i = 0; i + 1 < length_; ++i) {
+    h ^= ascii_lower(wire[i]);
     h *= 1099511628211ull;
-  };
-  for (const auto& label : labels_) {
-    mix(static_cast<std::uint8_t>(label.size()));
-    for (const char c : label)
-      mix(static_cast<std::uint8_t>(ascii_lower(c)));
   }
   return h;
 }

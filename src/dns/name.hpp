@@ -14,20 +14,30 @@
 
 namespace zh::dns {
 
-struct NameSuffix;  // defined after Name
-
-/// An absolute domain name, stored as a sequence of labels (root = none).
+/// An absolute domain name, stored flat: its uncompressed wire form
+/// (length-prefixed labels, then the root octet), case preserved, in one
+/// buffer. Up to kInlineCapacity octets live inside the object, so copying
+/// such a name allocates nothing; a longer name owns one heap block of
+/// exactly its wire length.
 ///
 /// Invariants: each label is 1..63 octets; total wire length ≤ 255 octets.
-/// Labels preserve the case they were constructed with; comparisons and
-/// canonical forms are case-insensitive per RFC 1035 §2.3.3 / RFC 4034 §6.2.
+/// Labels preserve the case they were constructed with; comparisons, the
+/// hash and canonical forms are case-insensitive per RFC 1035 §2.3.3 /
+/// RFC 4034 §6.2.
 class Name {
  public:
   static constexpr std::size_t kMaxLabelLength = 63;
   static constexpr std::size_t kMaxWireLength = 255;
+  /// Wire octets kept inside the object (the root octet included).
+  static constexpr std::size_t kInlineCapacity = 62;
 
   /// The root name ".".
-  Name() = default;
+  Name() noexcept = default;
+  Name(const Name& other);
+  Name(Name&& other) noexcept;
+  Name& operator=(const Name& other);
+  Name& operator=(Name&& other) noexcept;
+  ~Name();
 
   /// Parses presentation format ("www.example.com", trailing dot optional,
   /// "\\." escapes not supported — the study never needs them). Returns
@@ -43,12 +53,23 @@ class Name {
   /// any invariant is violated.
   static std::optional<Name> from_labels(std::vector<std::string> labels);
 
-  bool is_root() const noexcept { return labels_.empty(); }
-  std::size_t label_count() const noexcept { return labels_.size(); }
-  const std::string& label(std::size_t i) const { return labels_[i]; }
+  /// Builds a name from exactly one uncompressed wire name: labels of
+  /// 1..63 octets, then the root octet as the span's last byte, 255 octets
+  /// at most. Returns nullopt otherwise (compression pointers included).
+  static std::optional<Name> from_wire(std::span<const std::uint8_t> wire);
+
+  bool is_root() const noexcept { return labels_ == 0; }
+  std::size_t label_count() const noexcept { return labels_; }
+  /// The i-th label, leftmost first; a view into this name's buffer.
+  std::string_view label(std::size_t i) const noexcept;
 
   /// Number of octets in the uncompressed wire form (≥ 1 for the root).
-  std::size_t wire_length() const noexcept;
+  std::size_t wire_length() const noexcept { return length_; }
+
+  /// The stored bytes: the uncompressed wire form, case preserved.
+  std::span<const std::uint8_t> wire() const noexcept {
+    return {data(), length_};
+  }
 
   /// True if this name equals `other` ignoring case.
   bool equals(const Name& other) const noexcept;
@@ -56,8 +77,8 @@ class Name {
   /// True if this name is `ancestor` or a descendant of it.
   bool is_subdomain_of(const Name& ancestor) const noexcept;
 
-  /// Strips `suffix_labels` labels from the right; returns root if asked to
-  /// strip everything.
+  /// The rightmost `label_count` labels; this name itself if it has no
+  /// more than that, the root for 0.
   Name ancestor_with_labels(std::size_t label_count) const;
 
   /// <child-label>.<this>; returns nullopt if invariants would break.
@@ -65,7 +86,7 @@ class Name {
 
   /// True if the leftmost label is "*".
   bool is_wildcard() const noexcept {
-    return !labels_.empty() && labels_.front() == "*";
+    return labels_ > 0 && data()[0] == 1 && data()[1] == '*';
   }
 
   /// "*" prepended to this name.
@@ -83,10 +104,6 @@ class Name {
   std::size_t write_canonical_wire(
       std::span<std::uint8_t, kMaxWireLength> out) const noexcept;
 
-  /// Appends exactly the bytes of to_canonical_wire() to `out` without the
-  /// temporary vector — for key builders on the hot path.
-  void append_canonical_to(std::string& out) const;
-
   /// Lowercased copy.
   Name canonical() const;
 
@@ -98,55 +115,41 @@ class Name {
   static std::strong_ordering canonical_compare(const Name& a,
                                                 const Name& b) noexcept;
 
-  /// canonical_compare(a, b.name->ancestor_with_labels(b.labels)) without
-  /// materialising the ancestor.
-  static std::strong_ordering canonical_compare_suffix(
-      const Name& a, const NameSuffix& b) noexcept;
-
   bool operator==(const Name& other) const noexcept { return equals(other); }
 
-  /// Hash for unordered containers (case-insensitive).
+  /// Hash for unordered containers: FNV-1a over the canonical wire form,
+  /// label lengths included, root octet excluded (case-insensitive).
   std::size_t hash() const noexcept;
 
  private:
-  std::vector<std::string> labels_;  // leftmost first
+  bool spilled() const noexcept { return length_ > kInlineCapacity; }
+  std::uint8_t* heap() const noexcept;
+  const std::uint8_t* data() const noexcept {
+    return spilled() ? heap() : bytes_;
+  }
+  /// Sizes a root-valued name for `length` wire octets in `labels` labels
+  /// (one heap block past kInlineCapacity) and returns where to write them.
+  std::uint8_t* assign_storage(std::size_t length, std::size_t labels);
+  /// Offset of the label that leaves `labels` labels to its right.
+  std::size_t offset_of_suffix(std::size_t labels) const noexcept;
+
+  // The wire bytes, or — when spilled() — the pointer to them.
+  alignas(std::uint8_t*) std::uint8_t bytes_[kInlineCapacity] = {0};
+  std::uint8_t length_ = 1;  // wire length, root octet included
+  std::uint8_t labels_ = 0;
 };
+
+static_assert(sizeof(Name) <= 64);
 
 /// Functor for unordered_map<Name, ...>.
 struct NameHash {
   std::size_t operator()(const Name& n) const noexcept { return n.hash(); }
 };
 
-/// A right-aligned suffix of an existing Name — the `labels` rightmost
-/// labels of `*name` — for heterogeneous map lookups that would otherwise
-/// materialise one Name per ancestry step (zone closest-encloser walks).
-/// Orders exactly like Name::ancestor_with_labels(labels) would.
-struct NameSuffix {
-  const Name* name = nullptr;
-  std::size_t labels = 0;
-
-  std::size_t label_count() const noexcept {
-    return labels < name->label_count() ? labels : name->label_count();
-  }
-  /// i-th label of the suffix, leftmost first.
-  const std::string& label(std::size_t i) const {
-    return name->label(name->label_count() - label_count() + i);
-  }
-};
-
-/// Functor for ordered containers in canonical zone order. Transparent:
-/// lookups accept NameSuffix without materialising the ancestor Name.
+/// Functor for ordered containers in canonical zone order.
 struct NameCanonicalLess {
-  using is_transparent = void;
-
   bool operator()(const Name& a, const Name& b) const noexcept {
     return Name::canonical_compare(a, b) < 0;
-  }
-  bool operator()(const Name& a, const NameSuffix& b) const noexcept {
-    return Name::canonical_compare_suffix(a, b) < 0;
-  }
-  bool operator()(const NameSuffix& a, const Name& b) const noexcept {
-    return Name::canonical_compare_suffix(b, a) > 0;
   }
 };
 

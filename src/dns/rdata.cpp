@@ -1,47 +1,29 @@
 #include "dns/rdata.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "dns/io.hpp"
 
 namespace zh::dns {
 namespace {
 
-/// Uncompressed wire form, case preserved: the bytes of name.to_wire()
-/// from a stack buffer instead of a temporary vector. One append, as
-/// before, so stored rdata vectors keep the capacity they had.
-void write_name(ByteWriter& w, const Name& name) {
-  std::array<std::uint8_t, Name::kMaxWireLength> wire{};
-  std::size_t length = 0;
-  for (std::size_t i = 0; i < name.label_count(); ++i) {
-    const std::string& label = name.label(i);
-    wire[length++] = static_cast<std::uint8_t>(label.size());
-    std::memcpy(wire.data() + length, label.data(), label.size());
-    length += label.size();
-  }
-  wire[length++] = 0;
-  w.bytes(std::span<const std::uint8_t>(wire.data(), length));
-}
+/// Uncompressed wire form, case preserved: the name's stored bytes.
+void write_name(ByteWriter& w, const Name& name) { w.bytes(name.wire()); }
 
 /// Reads an *uncompressed* wire name (rdata context; compression pointers
 /// are normalised away before rdata is stored).
 std::optional<Name> read_name(ByteReader& r) {
-  std::vector<std::string> labels;
-  std::size_t total = 1;
-  for (;;) {
-    const auto len = r.u8();
-    if (!len) return std::nullopt;
-    if (*len == 0) break;
-    if (*len > Name::kMaxLabelLength) return std::nullopt;  // no pointers here
-    const auto bytes = r.view(*len);
-    if (!bytes) return std::nullopt;
-    labels.emplace_back(reinterpret_cast<const char*>(bytes->data()),
-                        bytes->size());
-    total += 1 + *len;
-    if (total > Name::kMaxWireLength) return std::nullopt;
+  const std::span<const std::uint8_t> rest =
+      r.whole().subspan(r.position());
+  std::size_t length = 0;  // octets up to and including the root octet
+  while (length < rest.size() && length < Name::kMaxWireLength) {
+    const std::uint8_t label = rest[length++];
+    if (label == 0) return Name::from_wire(*r.view(length));
+    if (label > Name::kMaxLabelLength) return std::nullopt;  // no pointers
+    length += label;
   }
-  return Name::from_labels(std::move(labels));
+  return std::nullopt;
 }
 
 }  // namespace
@@ -90,11 +72,7 @@ std::string AaaaRdata::to_string() const {
   return out;
 }
 
-RdataBytes NsRdata::encode() const {
-  ByteWriter w;
-  write_name(w, nsdname);
-  return w.take();
-}
+RdataBytes NsRdata::encode() const { return nsdname.to_wire(); }
 
 std::optional<NsRdata> NsRdata::decode(std::span<const std::uint8_t> rdata) {
   ByteReader r(rdata);
@@ -103,11 +81,7 @@ std::optional<NsRdata> NsRdata::decode(std::span<const std::uint8_t> rdata) {
   return NsRdata{*std::move(name)};
 }
 
-RdataBytes CnameRdata::encode() const {
-  ByteWriter w;
-  write_name(w, target);
-  return w.take();
-}
+RdataBytes CnameRdata::encode() const { return target.to_wire(); }
 
 std::optional<CnameRdata> CnameRdata::decode(
     std::span<const std::uint8_t> rdata) {
@@ -119,6 +93,7 @@ std::optional<CnameRdata> CnameRdata::decode(
 
 RdataBytes MxRdata::encode() const {
   ByteWriter w;
+  w.reserve(2 + exchange.wire_length());
   w.u16(preference);
   write_name(w, exchange);
   return w.take();
@@ -135,6 +110,10 @@ std::optional<MxRdata> MxRdata::decode(std::span<const std::uint8_t> rdata) {
 
 RdataBytes TxtRdata::encode() const {
   ByteWriter w;
+  std::size_t length = 0;
+  for (const auto& s : strings)
+    length += 1 + std::min<std::size_t>(s.size(), 255);
+  w.reserve(length);
   for (const auto& s : strings) {
     const std::size_t len = std::min<std::size_t>(s.size(), 255);
     w.u8(static_cast<std::uint8_t>(len));
@@ -160,6 +139,7 @@ std::optional<TxtRdata> TxtRdata::decode(std::span<const std::uint8_t> rdata) {
 
 RdataBytes SoaRdata::encode() const {
   ByteWriter w;
+  w.reserve(mname.wire_length() + rname.wire_length() + 20);
   write_name(w, mname);
   write_name(w, rname);
   w.u32(serial);
@@ -206,6 +186,7 @@ std::uint16_t DnskeyRdata::key_tag() const noexcept {
 
 RdataBytes DnskeyRdata::encode() const {
   ByteWriter w;
+  w.reserve(4 + public_key.size());
   w.u16(flags);
   w.u8(protocol);
   w.u8(algorithm);
@@ -231,6 +212,7 @@ std::optional<DnskeyRdata> DnskeyRdata::decode(
 
 RdataBytes RrsigRdata::encode() const {
   RdataBytes out;
+  out.reserve(18 + signer.wire_length() + signature.size());
   append_presignature(out);
   out.insert(out.end(), signature.begin(), signature.end());
   return out;
@@ -281,6 +263,7 @@ std::optional<RrsigRdata> RrsigRdata::decode(
 
 RdataBytes DsRdata::encode() const {
   ByteWriter w;
+  w.reserve(4 + digest.size());
   w.u16(key_tag);
   w.u8(algorithm);
   w.u8(digest_type);
@@ -304,9 +287,11 @@ std::optional<DsRdata> DsRdata::decode(std::span<const std::uint8_t> rdata) {
 }
 
 RdataBytes NsecRdata::encode() const {
+  const std::vector<std::uint8_t> bitmap = types.encode();
   ByteWriter w;
+  w.reserve(next_domain.wire_length() + bitmap.size());
   write_name(w, next_domain);
-  w.bytes(types.encode());
+  w.bytes(bitmap);
   return w.take();
 }
 
@@ -322,7 +307,9 @@ std::optional<NsecRdata> NsecRdata::decode(
 }
 
 RdataBytes Nsec3Rdata::encode() const {
+  const std::vector<std::uint8_t> bitmap = types.encode();
   ByteWriter w;
+  w.reserve(6 + salt.size() + next_hash.size() + bitmap.size());
   w.u8(hash_algorithm);
   w.u8(flags);
   w.u16(iterations);
@@ -330,7 +317,7 @@ RdataBytes Nsec3Rdata::encode() const {
   w.bytes(salt);
   w.u8(static_cast<std::uint8_t>(next_hash.size()));
   w.bytes(next_hash);
-  w.bytes(types.encode());
+  w.bytes(bitmap);
   return w.take();
 }
 
@@ -363,6 +350,7 @@ std::optional<Nsec3Rdata> Nsec3Rdata::decode(
 
 RdataBytes Nsec3ParamRdata::encode() const {
   ByteWriter w;
+  w.reserve(5 + salt.size());
   w.u8(hash_algorithm);
   w.u8(flags);
   w.u16(iterations);

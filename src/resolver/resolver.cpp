@@ -158,10 +158,7 @@ Message RecursiveResolver::handle(const Message& query,
   cd_active_ = query.header.cd;
 
   Outcome out;
-  const std::string cache_key =
-      q.name.canonical().to_string() + "|" +
-      std::to_string(static_cast<std::uint16_t>(q.type)) +
-      (cd_active_ ? "|cd" : "");
+  AnswerKey cache_key{q.name, q.type, cd_active_};
   bool from_cache = false;
   if (config_.enable_cache) {
     const auto it = answer_cache_.find(cache_key);
@@ -213,7 +210,7 @@ Message RecursiveResolver::handle(const Message& query,
     if (config_.enable_cache && !out.transient) {
       if (answer_cache_.size() >= config_.cache_capacity)
         answer_cache_.clear();
-      answer_cache_.emplace(cache_key, out);
+      answer_cache_.emplace(std::move(cache_key), out);
     }
   }
   last_query_dropped_ = out.drop;

@@ -247,8 +247,22 @@ class RecursiveResolver {
 
   // Infrastructure cache: apex → validated zone context.
   std::unordered_map<dns::Name, ZoneContext, dns::NameHash> zone_cache_;
-  // Answer cache: "<qname>|<type>" → outcome.
-  std::unordered_map<std::string, Outcome> answer_cache_;
+  // Answer cache: (qname, type, CD) → outcome. The name compares and
+  // hashes case-insensitively, so mixed-case repeats hit.
+  struct AnswerKey {
+    dns::Name name;
+    dns::RrType type;
+    bool cd;
+    bool operator==(const AnswerKey&) const = default;
+  };
+  struct AnswerKeyHash {
+    std::size_t operator()(const AnswerKey& key) const noexcept {
+      return key.name.hash() ^
+             ((static_cast<std::size_t>(key.type) << 1 | key.cd) *
+              0x9e3779b97f4a7c15ull);
+    }
+  };
+  std::unordered_map<AnswerKey, Outcome, AnswerKeyHash> answer_cache_;
   // RFC 8198 / RFC 9520 caches — allocated only when the profile turns the
   // capability on (nullptr otherwise, so the synth-off fast path costs one
   // branch).

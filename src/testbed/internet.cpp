@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
 namespace zh::testbed {
 namespace {
@@ -150,13 +151,6 @@ void Internet::build() {
     tld_builds.push_back(std::move(build));
   }
 
-  const auto tld_for = [&](const Name& name) -> TldBuild* {
-    for (auto& tld : tld_builds)
-      if (name.is_subdomain_of(tld.apex) && !name.equals(tld.apex))
-        return &tld;
-    return nullptr;
-  };
-
   // --- Delegation wiring ---
   // Parents must exist before children: process eager domains shallow-first.
   std::stable_sort(domains_.begin(), domains_.end(),
@@ -177,23 +171,31 @@ void Internet::build() {
         std::const_pointer_cast<Zone>(materialise_zone(unsigned_config, host)));
   }
 
-  // Finds the enclosing parent zone of `apex`: deepest eager domain, else
-  // the TLD, else the root.
+  // Parent index: eager and TLD apexes by name, so finding a parent costs
+  // one hash lookup per proper ancestor of the child instead of a scan over
+  // every apex. The first entry for a name wins, as the scan's did: the
+  // earliest in the sorted eager list, the earliest declared TLD.
+  std::unordered_map<Name, std::size_t, dns::NameHash> eager_index;
+  for (std::size_t i = 0; i < domains_.size(); ++i)
+    eager_index.try_emplace(domains_[i].apex, i);
+  std::unordered_map<Name, std::size_t, dns::NameHash> tld_index;
+  for (std::size_t i = 0; i < tld_builds.size(); ++i)
+    tld_index.try_emplace(tld_builds[i].apex, i);
+
+  // Finds the enclosing parent zone of `apex`: the deepest eager domain
+  // above it, else the earliest declared TLD above it, else the root.
   const auto parent_zone_of = [&](const Name& apex) -> Zone* {
-    Zone* best = root_zone.get();
-    std::size_t best_labels = 0;
-    for (std::size_t i = 0; i < domains_.size(); ++i) {
-      const Name& candidate = domains_[i].apex;
-      if (apex.is_subdomain_of(candidate) && !apex.equals(candidate) &&
-          candidate.label_count() > best_labels) {
-        best = domain_zones[i].get();
-        best_labels = candidate.label_count();
-      }
+    for (std::size_t labels = apex.label_count(); labels-- > 1;) {
+      const auto it = eager_index.find(apex.ancestor_with_labels(labels));
+      if (it != eager_index.end()) return domain_zones[it->second].get();
     }
-    if (best_labels == 0) {
-      if (TldBuild* tld = tld_for(apex)) return tld->zone.get();
+    std::size_t tld = tld_builds.size();
+    for (std::size_t labels = apex.label_count(); labels-- > 0;) {
+      const auto it = tld_index.find(apex.ancestor_with_labels(labels));
+      if (it != tld_index.end()) tld = std::min(tld, it->second);
     }
-    return best;
+    return tld < tld_builds.size() ? tld_builds[tld].zone.get()
+                                   : root_zone.get();
   };
 
   const auto delegate = [&](Zone* parent, const Name& child_apex,

@@ -362,7 +362,7 @@ DomainProfile EcosystemSpec::domain(std::size_t index) const {
 std::optional<std::size_t> EcosystemSpec::index_of(
     const dns::Name& apex) const {
   if (apex.label_count() < 2) return std::nullopt;
-  const std::string& label = apex.label(0);
+  const std::string_view label = apex.label(0);
   if (label.size() < 2 || label[0] != 'd') return std::nullopt;
   std::size_t index = 0;
   for (std::size_t i = 1; i < label.size(); ++i) {

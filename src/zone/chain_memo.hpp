@@ -20,6 +20,7 @@
 // metric) deterministic for a given (seed, jobs) pair.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -63,10 +64,12 @@ class ChainKeyBuilder {
     buffer_.append(s);
   }
   /// Same bytes as add_bytes(name.to_canonical_wire()) — the length prefix
-  /// is the name's wire length — without the temporary vector.
+  /// is the name's wire length — written through write_canonical_wire
+  /// from a stack buffer instead of a temporary vector.
   void add_name(const dns::Name& name) {
-    add_length(name.wire_length());
-    name.append_canonical_to(buffer_);
+    std::array<std::uint8_t, dns::Name::kMaxWireLength> wire;
+    add_bytes(std::span<const std::uint8_t>(
+        wire.data(), name.write_canonical_wire(wire)));
   }
   void add_u64(std::uint64_t v) {
     char field[8];

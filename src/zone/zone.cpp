@@ -46,15 +46,12 @@ const dns::RrSet* Zone::find(const dns::Name& name, dns::RrType type) const {
 }
 
 dns::Name Zone::closest_encloser(const dns::Name& name) const {
-  // Transparent suffix lookups: only the winning ancestor is materialised,
-  // not one Name per probed level.
+  // Each probed ancestor is a flat name: inline ones cost no allocation.
   if (!name.is_subdomain_of(apex_)) return apex_;
-  for (std::size_t labels = name.label_count();; --labels) {
-    if (std::min(labels, name.label_count()) <= apex_.label_count())
-      return apex_;
-    if (node_for_suffix(name, labels) != nullptr)
-      return name.ancestor_with_labels(labels);
-    if (labels == 0) break;
+  for (std::size_t labels = name.label_count(); labels > apex_.label_count();
+       --labels) {
+    dns::Name ancestor = name.ancestor_with_labels(labels);
+    if (node(ancestor) != nullptr) return ancestor;
   }
   return apex_;
 }
@@ -63,8 +60,9 @@ std::optional<dns::Name> Zone::delegation_for(const dns::Name& name) const {
   // Walk from just below the apex towards `name`, stopping at the first NS.
   for (std::size_t labels = apex_.label_count() + 1;
        labels <= name.label_count(); ++labels) {
-    const ZoneNode* n = node_for_suffix(name, labels);
-    if (n && n->has(dns::RrType::kNs)) return name.ancestor_with_labels(labels);
+    dns::Name ancestor = name.ancestor_with_labels(labels);
+    const ZoneNode* n = node(ancestor);
+    if (n && n->has(dns::RrType::kNs)) return ancestor;
   }
   return std::nullopt;
 }

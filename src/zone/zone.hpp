@@ -88,14 +88,6 @@ class Zone {
 
   bool name_exists(const dns::Name& name) const { return node(name) != nullptr; }
 
-  /// Node lookup by the `labels` rightmost labels of `name` — the ancestor
-  /// node without materialising the ancestor Name (transparent find).
-  const ZoneNode* node_for_suffix(const dns::Name& name,
-                                  std::size_t labels) const {
-    const auto it = nodes_.find(dns::NameSuffix{&name, labels});
-    return it == nodes_.end() ? nullptr : &it->second;
-  }
-
   /// The longest existing ancestor of `name` within the zone (the closest
   /// encloser, RFC 5155 §7.2.1). Always exists: at worst the apex.
   dns::Name closest_encloser(const dns::Name& name) const;

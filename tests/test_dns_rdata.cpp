@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
 #include "dns/rdata.hpp"
 #include "dns/rr.hpp"
@@ -326,6 +328,66 @@ TEST(ResourceRecord, ToStringNsec3Param) {
   const auto rr = ResourceRecord::make(Name::must_parse("example.com"),
                                        RrType::kNsec3Param, 0, param);
   EXPECT_EQ(rr.to_string(), "example.com. 0 IN NSEC3PARAM 1 0 5 abcd");
+}
+
+// Every encoder sizes its vector exactly: stored rdata carries no growth
+// slack (zones hold every record's bytes for the life of the world).
+TEST(Rdata, EveryEncoderReturnsAnExactSizeVector) {
+  std::mt19937_64 rng(26);
+  const auto bytes = [&](std::size_t max) {
+    std::vector<std::uint8_t> out(rng() % (max + 1));
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+    return out;
+  };
+  const auto name = [&] {
+    std::string text = "n" + std::to_string(rng() % 100000);
+    for (std::uint64_t i = rng() % 5; i > 0; --i)
+      text += "." + std::string(1 + rng() % 40, 'a');
+    return Name::must_parse(text);
+  };
+  const auto types = [&] {
+    TypeBitmap bitmap;
+    for (std::uint64_t i = rng() % 8; i > 0; --i)
+      bitmap.insert(static_cast<RrType>(rng() % 300));
+    return bitmap;
+  };
+  const auto exact = [](const RdataBytes& encoded, const char* type) {
+    EXPECT_EQ(encoded.capacity(), encoded.size()) << type;
+  };
+  for (int i = 0; i < 200; ++i) {
+    exact(ARdata{}.encode(), "A");
+    exact(AaaaRdata{}.encode(), "AAAA");
+    exact(NsRdata{name()}.encode(), "NS");
+    exact(CnameRdata{name()}.encode(), "CNAME");
+    exact(MxRdata{static_cast<std::uint16_t>(rng()), name()}.encode(), "MX");
+    TxtRdata txt;
+    for (std::uint64_t s = rng() % 4; s > 0; --s)
+      txt.strings.push_back(std::string(rng() % 300, 't'));
+    exact(txt.encode(), "TXT");
+    SoaRdata soa;
+    soa.mname = name();
+    soa.rname = name();
+    exact(soa.encode(), "SOA");
+    DnskeyRdata key;
+    key.public_key = bytes(300);
+    exact(key.encode(), "DNSKEY");
+    RrsigRdata sig;
+    sig.signer = name();
+    sig.signature = bytes(300);
+    exact(sig.encode(), "RRSIG");
+    DsRdata ds;
+    ds.digest = bytes(64);
+    exact(ds.encode(), "DS");
+    exact(NsecRdata{name(), types()}.encode(), "NSEC");
+    Nsec3Rdata nsec3;
+    nsec3.salt = bytes(40);
+    nsec3.next_hash = bytes(20);
+    nsec3.types = types();
+    exact(nsec3.encode(), "NSEC3");
+    Nsec3ParamRdata param;
+    param.salt = bytes(40);
+    exact(param.encode(), "NSEC3PARAM");
+  }
 }
 
 }  // namespace

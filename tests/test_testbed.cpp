@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "dns/dnssec.hpp"
 #include "testbed/internet.hpp"
@@ -145,6 +147,83 @@ TEST(Testbed, EndToEndResolutionThroughEveryLayer) {
         << profile.apex.to_string();
     // AD unless the domain landed under an unsigned TLD (insecure chain).
     break;
+  }
+}
+
+// Every delegation's NS lands in the zone the linear rule picks: the
+// deepest eager apex above it (first on ties), else the earliest declared
+// TLD above it, else the root. Nested eager apexes and the nested TLDs
+// `uk` and `co.uk` are declared in both orders.
+TEST(Testbed, ParentSelectionFollowsTheLinearRule) {
+  for (const bool uk_first : {true, false}) {
+    Internet internet;
+    const std::vector<std::string> tlds =
+        uk_first ? std::vector<std::string>{"uk", "co.uk", "com"}
+                 : std::vector<std::string>{"co.uk", "uk", "com"};
+    for (const auto& tld : tlds) internet.add_tld(tld, TldConfig{});
+    const std::size_t op = internet.add_operator("hoster");
+    const std::vector<std::string> eager = {"Example.co.uk", "a.example.co.uk",
+                                            "b.a.example.co.UK", "plain.uk"};
+    for (const auto& apex : eager) {
+      DomainConfig config;
+      config.apex = Name::must_parse(apex);
+      config.dnssec = false;
+      internet.add_domain(config);
+    }
+    const std::vector<std::string> lazy = {
+        "l1.co.uk",          "l2.uk",               "x.example.co.uk",
+        "y.A.example.co.uk", "z.b.a.example.co.uk", "deep.q.plain.uk",
+        "top.com",           "w.hoster.net"};
+    for (const auto& apex : lazy)
+      internet.add_lazy_delegation(
+          {.apex = Name::must_parse(apex), .dnssec = false,
+           .operator_index = op});
+    internet.build();
+
+    // The linear rule, over the declared apexes.
+    const auto expected_parent = [&](const Name& child) {
+      Name best = Name::root();
+      std::size_t best_labels = 0;
+      std::vector<Name> eager_apexes;
+      for (const auto& apex : eager)
+        eager_apexes.push_back(Name::must_parse(apex));
+      eager_apexes.push_back(Name::must_parse("hoster.net"));
+      for (const Name& candidate : eager_apexes) {
+        if (child.is_subdomain_of(candidate) && !child.equals(candidate) &&
+            candidate.label_count() > best_labels) {
+          best = candidate;
+          best_labels = candidate.label_count();
+        }
+      }
+      if (best_labels > 0) return best;
+      std::vector<std::string> declared = tlds;
+      declared.push_back("net");
+      for (const auto& tld : declared) {
+        const Name apex = Name::must_parse(tld);
+        if (child.is_subdomain_of(apex) && !child.equals(apex)) return apex;
+      }
+      return Name::root();
+    };
+    std::vector<std::string> children = lazy;
+    children.insert(children.end(), eager.begin(), eager.end());
+    std::vector<std::string> zones = tlds;
+    zones.insert(zones.end(), eager.begin(), eager.end());
+    zones.push_back("net");
+    zones.push_back("hoster.net");
+    zones.push_back(".");
+    for (const auto& text : children) {
+      const Name child = Name::must_parse(text);
+      const Name parent = expected_parent(child);
+      for (const auto& zone_text : zones) {
+        const auto zone = internet.zone(Name::must_parse(zone_text));
+        ASSERT_NE(zone, nullptr) << zone_text;
+        if (zone->apex().equals(child)) continue;  // its own apex NS
+        const bool holds = zone->find(child, RrType::kNs) != nullptr;
+        EXPECT_EQ(holds, zone->apex().equals(parent))
+            << text << " in " << zone_text << " (uk first: " << uk_first
+            << ")";
+      }
+    }
   }
 }
 
