@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -440,6 +442,124 @@ TEST(Message, FuzzedTruncationNeverCrashes) {
     (void)Message::from_wire(std::span<const std::uint8_t>(wire.data(), len));
   }
   SUCCEED();
+}
+
+// --- Reference: the string-keyed compressor the offset table replaced ----
+
+/// Test-local reference copy of the former name compressor: one lowercased
+/// `std::string` key per suffix in a `std::map`, first registration wins,
+/// nothing registered at or past 0x4000.
+class ReferenceCompressor {
+ public:
+  void write(std::vector<std::uint8_t>& out, const Name& name) {
+    std::size_t skip = 0;
+    std::optional<std::uint16_t> pointer;
+    for (; skip < name.label_count(); ++skip) {
+      const auto it = offsets_.find(key(name, skip));
+      if (it != offsets_.end()) {
+        pointer = it->second;
+        break;
+      }
+    }
+    for (std::size_t i = 0; i < skip; ++i) {
+      if (out.size() < 0x4000)
+        offsets_.emplace(key(name, i),
+                         static_cast<std::uint16_t>(out.size()));
+      const std::string_view label = name.label(i);
+      out.push_back(static_cast<std::uint8_t>(label.size()));
+      out.insert(out.end(), label.begin(), label.end());
+    }
+    if (pointer) {
+      out.push_back(static_cast<std::uint8_t>(0xc0 | (*pointer >> 8)));
+      out.push_back(static_cast<std::uint8_t>(*pointer));
+    } else {
+      out.push_back(0);
+    }
+  }
+
+ private:
+  static std::string key(const Name& name, std::size_t from) {
+    std::string out;
+    for (std::size_t i = from; i < name.label_count(); ++i) {
+      const std::string_view label = name.label(i);
+      out.push_back(static_cast<char>(label.size()));
+      for (const char c : label)
+        out.push_back((c >= 'A' && c <= 'Z') ? static_cast<char>(c + 32) : c);
+    }
+    return out;
+  }
+  std::map<std::string, std::uint16_t> offsets_;
+};
+
+/// The former Message::to_wire for messages without EDNS.
+std::vector<std::uint8_t> reference_wire(const Message& msg) {
+  std::vector<std::uint8_t> out = msg.to_wire();
+  out.resize(12);  // the header is compression-free
+  ReferenceCompressor compressor;
+  const auto u16 = [&](std::uint16_t v) {
+    out.push_back(static_cast<std::uint8_t>(v >> 8));
+    out.push_back(static_cast<std::uint8_t>(v));
+  };
+  for (const auto& q : msg.questions) {
+    compressor.write(out, q.name);
+    u16(static_cast<std::uint16_t>(q.type));
+    u16(static_cast<std::uint16_t>(q.klass));
+  }
+  for (const auto* section : {&msg.answers, &msg.authorities,
+                              &msg.additionals}) {
+    for (const auto& rr : *section) {
+      compressor.write(out, rr.name);
+      u16(static_cast<std::uint16_t>(rr.type));
+      u16(static_cast<std::uint16_t>(rr.klass));
+      u16(static_cast<std::uint16_t>(rr.ttl >> 16));
+      u16(static_cast<std::uint16_t>(rr.ttl));
+      u16(static_cast<std::uint16_t>(rr.rdata.size()));
+      out.insert(out.end(), rr.rdata.begin(), rr.rdata.end());
+    }
+  }
+  return out;
+}
+
+TEST(NameCompression, MatchesTheStringKeyedReference) {
+  std::mt19937_64 rng(4104);
+  static const char* const kLabels[] = {"Example", "example", "EXAMPLE",
+                                        "com",     "Com",     "ns1",
+                                        "www",     "WwW",     "d12345",
+                                        "tld0001", "it-150",  "a"};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t past_cap = 0;
+  for (int m = 0; m < 2000; ++m) {
+    const auto name = [&] {
+      std::vector<std::string> labels;
+      for (std::size_t i = pick(6); i > 0; --i) {
+        std::string label = kLabels[pick(std::size(kLabels))];
+        if (pick(8) == 0)
+          label = std::string(1 + pick(63), pick(2) ? 'q' : 'Q');
+        labels.push_back(std::move(label));
+      }
+      return Name::from_labels(std::move(labels)).value_or(Name::root());
+    };
+    Message msg;
+    msg.header.id = static_cast<std::uint16_t>(m);
+    msg.questions.push_back(Question{name(), RrType::kA, RrClass::kIn});
+    // Every 20th message runs past offset 0x4000.
+    const std::size_t records = m % 20 == 0 ? 700 + pick(300) : pick(40);
+    for (std::size_t i = 0; i < records; ++i) {
+      ResourceRecord rr;
+      rr.name = name();
+      rr.type = RrType::kTxt;
+      rr.ttl = 300;
+      rr.rdata.assign(pick(30), static_cast<std::uint8_t>(i));
+      (pick(3) == 0 ? msg.authorities : msg.answers).push_back(std::move(rr));
+    }
+    const auto wire = msg.to_wire();
+    ASSERT_EQ(wire, reference_wire(msg)) << "message " << m;
+    ASSERT_EQ(msg.wire_size(), wire.size()) << "message " << m;
+    past_cap += wire.size() > 0x4000 ? 1 : 0;
+  }
+  EXPECT_GE(past_cap, 50u);
 }
 
 }  // namespace

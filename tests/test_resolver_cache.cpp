@@ -141,5 +141,41 @@ TEST_F(ResolverCacheTest, DeterministicServfailIsCached) {
   EXPECT_EQ(r->stats().upstream_queries, upstream_cold);
 }
 
+// The answer cache is keyed by (qname, type, CD): a mixed-case repeat hits,
+// CD and non-CD answers and different types are kept apart, and reaching
+// the capacity clears the cache before the next insert.
+TEST_F(ResolverCacheTest, KeyFoldsCaseAndSeparatesTypeAndCd) {
+  RecursiveResolver::Config config;
+  config.cache_capacity = 3;
+  auto r = resolver(config);
+  const auto ask = [&](const Name& name, RrType type, bool cd) {
+    Message query = Message::make_query(1, name, type);
+    query.header.cd = cd;
+    return r->handle(query, IpAddress::v4(192, 0, 2, 200));
+  };
+
+  ask(nx("mixed"), RrType::kA, false);
+  EXPECT_EQ(r->stats().cache_hits, 0u);
+  ask(Name::must_parse("MIXED.Nx.Valid.RFC9276-in-the-wild.COM"), RrType::kA,
+      false);
+  EXPECT_EQ(r->stats().cache_hits, 1u);  // case folds
+  ask(nx("mixed"), RrType::kA, true);
+  EXPECT_EQ(r->stats().cache_hits, 1u);  // CD kept apart
+  ask(nx("mixed"), RrType::kAaaa, false);
+  EXPECT_EQ(r->stats().cache_hits, 1u);  // type kept apart
+  ask(nx("mixed"), RrType::kA, true);
+  ask(nx("mixed"), RrType::kAaaa, false);
+  EXPECT_EQ(r->stats().cache_hits, 3u);  // both were cached
+
+  // Three entries fill the cache: the next miss clears it, so every
+  // earlier question misses again.
+  ask(nx("other"), RrType::kA, false);
+  EXPECT_EQ(r->stats().cache_hits, 3u);
+  ask(nx("mixed"), RrType::kA, false);
+  EXPECT_EQ(r->stats().cache_hits, 3u);
+  ask(nx("other"), RrType::kA, false);
+  EXPECT_EQ(r->stats().cache_hits, 4u);
+}
+
 }  // namespace
 }  // namespace zh::resolver
