@@ -230,6 +230,36 @@ struct BenchFlags {
   std::int64_t failure_cache_ttl_ms = 5000;
 
   bool worker_mode() const noexcept { return !emit_shard.empty(); }
+
+  /// Every setting that changes a campaign's non-`#` output, as one string
+  /// that travels in each shard artefact, so a merge refuses shards
+  /// emitted under another configuration than its own. The scales are
+  /// read as the benches read them ("default" when unset or not a number);
+  /// settings pinned as unobservable (--jobs, --max-inflight, the memos,
+  /// the SHA kernel, tracing) stay out.
+  std::string identity() const {
+    const auto scale = [](const char* name) -> std::string {
+      const char* text = std::getenv(name);
+      const auto value = text ? parse_double(text, 0.0) : std::nullopt;
+      if (!value) return "default";
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.17g", *value);
+      return buf;
+    };
+    char knobs[256];
+    std::snprintf(
+        knobs, sizeof knobs,
+        " loss=%.17g latency_ms=%.17g jitter_ms=%.17g retries=%u "
+        "timeout_ms=%lld aggressive_nsec=%s neg_cache_cap=%zu "
+        "failure_cache_ttl_ms=%lld",
+        loss, latency_ms, jitter_ms, retry.attempts,
+        static_cast<long long>(retry.timeout.millis()),
+        aggressive() ? "on" : "off", neg_cache_cap,
+        static_cast<long long>(failure_cache_ttl_ms));
+    return "seed=" + std::to_string(env_u64("ZH_SEED", 42)) +
+           " scale=" + scale("ZH_SCALE") +
+           " resolver_scale=" + scale("ZH_RESOLVER_SCALE") + knobs;
+  }
   bool merge_mode() const noexcept { return !merge_shards.empty(); }
 
   /// True when any flag moves virtual time (loss forces timeout waits).

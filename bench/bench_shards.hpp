@@ -51,20 +51,22 @@ template <typename Result, typename Artefact, typename RunFn, typename FillFn>
 std::optional<Result> dispatch(
     const BenchFlags& flags, const char* kind, RunFn run,
     bool (*merge)(const std::vector<std::string>&, const std::string&,
-                  Result&, std::string&),
+                  const std::string&, Result&, std::string&),
     FillFn fill) {
   const unsigned call = next_call_index();
   const std::string tag = std::string(kind) + "#" + std::to_string(call);
   std::string error;
   if (flags.merge_mode()) {
     Result out;
-    if (!merge(flags.merge_shards, tag, out, error)) die(error);
+    if (!merge(flags.merge_shards, tag, flags.identity(), out, error))
+      die(error);
     return out;
   }
   if (flags.worker_mode()) {
     const Result result = run();
     Artefact artefact;
     artefact.tag = tag;
+    artefact.identity = flags.identity();
     artefact.shard = flags.shard;
     artefact.of = flags.of;
     artefact.jobs = result.jobs;

@@ -43,21 +43,24 @@ bool decode_u16_u64_map(Decoder& dec,
 }
 
 void encode_envelope_head(Encoder& enc, ArtefactKind kind,
-                          const std::string& tag, std::uint32_t shard,
-                          std::uint32_t of, std::uint32_t jobs) {
+                          const std::string& tag, const std::string& identity,
+                          std::uint32_t shard, std::uint32_t of,
+                          std::uint32_t jobs) {
   enc.bytes(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(kMagic), 4));
   enc.u16(kShardFormatVersion);
   enc.u8(static_cast<std::uint8_t>(kind));
   enc.str(tag);
+  enc.str(identity);
   enc.u32(shard);
   enc.u32(of);
   enc.u32(jobs);
 }
 
 bool decode_envelope_head(Decoder& dec, ArtefactKind expect_kind,
-                          std::string& tag, std::uint32_t& shard,
-                          std::uint32_t& of, std::uint32_t& jobs) {
+                          std::string& tag, std::string& identity,
+                          std::uint32_t& shard, std::uint32_t& of,
+                          std::uint32_t& jobs) {
   if (!dec.magic(kMagic)) return false;
   std::uint16_t version = 0;
   if (!dec.u16(version)) return false;
@@ -71,7 +74,8 @@ bool decode_envelope_head(Decoder& dec, ArtefactKind expect_kind,
   if (kind != static_cast<std::uint8_t>(expect_kind))
     return dec.fail(DecodeErrc::kBadValue,
                     "artefact kind " + std::to_string(kind));
-  if (!dec.str(tag) || !dec.u32(shard) || !dec.u32(of) || !dec.u32(jobs))
+  if (!dec.str(tag) || !dec.str(identity) || !dec.u32(shard) ||
+      !dec.u32(of) || !dec.u32(jobs))
     return false;
   if (of == 0 || shard >= of)
     return dec.fail(DecodeErrc::kBadValue, "shard id outside 0..of-1");
@@ -315,7 +319,8 @@ bool decode(Decoder& dec, ResolverSweepStats& out) {
 std::vector<std::uint8_t> encode_artefact(const DomainShardArtefact& artefact) {
   Encoder enc;
   encode_envelope_head(enc, ArtefactKind::kDomainCampaign, artefact.tag,
-                       artefact.shard, artefact.of, artefact.jobs);
+                       artefact.identity, artefact.shard, artefact.of,
+                       artefact.jobs);
   encode(enc, artefact.stats);
   encode(enc, artefact.records);
   enc.u64(artefact.queries_issued);
@@ -326,7 +331,8 @@ std::vector<std::uint8_t> encode_artefact(const DomainShardArtefact& artefact) {
 std::vector<std::uint8_t> encode_artefact(const SweepShardArtefact& artefact) {
   Encoder enc;
   encode_envelope_head(enc, ArtefactKind::kResolverSweep, artefact.tag,
-                       artefact.shard, artefact.of, artefact.jobs);
+                       artefact.identity, artefact.shard, artefact.of,
+                       artefact.jobs);
   encode(enc, artefact.stats);
   enc.u64(artefact.queries_issued);
   enc.u64(artefact.population);
@@ -339,7 +345,7 @@ bool decode_artefact(std::span<const std::uint8_t> data,
   Decoder dec(data);
   const bool ok =
       decode_envelope_head(dec, ArtefactKind::kDomainCampaign, out.tag,
-                           out.shard, out.of, out.jobs) &&
+                           out.identity, out.shard, out.of, out.jobs) &&
       decode(dec, out.stats) && decode(dec, out.records) &&
       dec.u64(out.queries_issued) && decode(dec, out.cost) &&
       unseal(dec, data);
@@ -353,7 +359,7 @@ bool decode_artefact(std::span<const std::uint8_t> data,
   std::uint64_t population = 0;
   const bool ok =
       decode_envelope_head(dec, ArtefactKind::kResolverSweep, out.tag,
-                           out.shard, out.of, out.jobs) &&
+                           out.identity, out.shard, out.of, out.jobs) &&
       decode(dec, out.stats) && dec.u64(out.queries_issued) &&
       dec.u64(population) && decode(dec, out.cost) && unseal(dec, data);
   if (!ok) {
@@ -423,10 +429,12 @@ int load_artefact(const std::string& path, ArtefactKind want_kind,
 }
 
 /// Collects the matching artefacts into a complete, consistent shard set
-/// keyed by shard id (every shard 0..of-1 exactly once, same of/jobs).
+/// keyed by shard id (every shard 0..of-1 exactly once, same of/jobs, and
+/// every identity equal to the merging run's `identity`).
 template <typename Artefact>
 bool collect_shards(const std::vector<std::string>& paths,
                     ArtefactKind want_kind, const std::string& tag,
+                    const std::string& identity,
                     std::map<std::uint32_t, Artefact>& out,
                     std::string& error) {
   std::uint32_t of = 0, jobs = 0;
@@ -436,6 +444,12 @@ bool collect_shards(const std::vector<std::string>& paths,
         load_artefact(path, want_kind, tag, artefact, error);
     if (status < 0) return false;
     if (status > 0) continue;  // foreign tag/kind — another call's shard
+    if (artefact.identity != identity) {
+      error = path + ": shard emitted under configuration '" +
+              artefact.identity + "', this merge runs under '" + identity +
+              "'";
+      return false;
+    }
     if (out.empty()) {
       of = artefact.of;
       jobs = artefact.jobs;
@@ -480,11 +494,11 @@ void credit_caller(const CostTally& cost) {
 }  // namespace
 
 bool merge_domain_shards(const std::vector<std::string>& paths,
-                         const std::string& tag, ParallelCampaignResult& out,
-                         std::string& error) {
+                         const std::string& tag, const std::string& identity,
+                         ParallelCampaignResult& out, std::string& error) {
   std::map<std::uint32_t, DomainShardArtefact> shards;
-  if (!collect_shards(paths, ArtefactKind::kDomainCampaign, tag, shards,
-                      error))
+  if (!collect_shards(paths, ArtefactKind::kDomainCampaign, tag, identity,
+                      shards, error))
     return false;
   out = {};
   for (auto& [shard, artefact] : shards) {
@@ -505,11 +519,11 @@ bool merge_domain_shards(const std::vector<std::string>& paths,
 }
 
 bool merge_sweep_shards(const std::vector<std::string>& paths,
-                        const std::string& tag, ParallelSweepResult& out,
-                        std::string& error) {
+                        const std::string& tag, const std::string& identity,
+                        ParallelSweepResult& out, std::string& error) {
   std::map<std::uint32_t, SweepShardArtefact> shards;
-  if (!collect_shards(paths, ArtefactKind::kResolverSweep, tag, shards,
-                      error))
+  if (!collect_shards(paths, ArtefactKind::kResolverSweep, tag, identity,
+                      shards, error))
     return false;
   out = {};
   for (auto& [shard, artefact] : shards) {

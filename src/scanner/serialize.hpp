@@ -16,12 +16,15 @@
 // Format (all integers little-endian, see analysis/serialize.hpp):
 //
 //   magic "ZHSA" | u16 version | u8 kind (1 = domain, 2 = sweep)
-//   | tag string | u32 shard | u32 of | u32 jobs | payload
+//   | tag string | identity string | u32 shard | u32 of | u32 jobs | payload
 //   | u64 FNV-1a checksum of every preceding byte
 //
 // The tag names the campaign within a bench run (benches issue several —
 // e.g. one sweep per Figure 3 panel), so --merge-shards can be handed a
-// mixed pile of files and pick the right ones. Decoding is strict: any
+// mixed pile of files and pick the right ones. The identity names every
+// setting that changes the campaign's output (seed, scales, link and
+// cache knobs), so a merge refuses shards emitted under another
+// configuration than its own. Decoding is strict: any
 // truncation, bit flip, version bump or foreign magic yields a typed
 // analysis::DecodeError; nothing is ever read out of bounds.
 #pragma once
@@ -40,7 +43,8 @@ namespace zh::scanner {
 
 /// Bumped whenever the byte layout changes; decoders reject other values.
 /// v2: RFC 8198/9520 counters appended to both campaign stats payloads.
-inline constexpr std::uint16_t kShardFormatVersion = 2;
+/// v3: the emitting run's configuration identity follows the tag.
+inline constexpr std::uint16_t kShardFormatVersion = 3;
 
 enum class ArtefactKind : std::uint8_t {
   kDomainCampaign = 1,
@@ -50,6 +54,8 @@ enum class ArtefactKind : std::uint8_t {
 /// Everything one sub-shard run contributes to a domain campaign.
 struct DomainShardArtefact {
   std::string tag;
+  /// The emitting run's configuration (see the format comment above).
+  std::string identity;
   std::uint32_t shard = 0;
   std::uint32_t of = 1;
   /// Worker threads *inside* the sub-shard run (the artefact covers
@@ -64,6 +70,8 @@ struct DomainShardArtefact {
 /// Everything one sub-shard run contributes to a resolver sweep.
 struct SweepShardArtefact {
   std::string tag;
+  /// The emitting run's configuration (see the format comment above).
+  std::string identity;
   std::uint32_t shard = 0;
   std::uint32_t of = 1;
   std::uint32_t jobs = 1;
@@ -109,15 +117,16 @@ bool peek_artefact(std::span<const std::uint8_t> data, ArtefactKind& kind,
 /// through the merge algebra, records re-sorted into serial order, shard
 /// hash work credited to the calling thread's CostMeter, jobs = of ×
 /// per-shard jobs). Requires a complete, consistent shard set for the
-/// tag: every shard 0..of-1 exactly once, all agreeing on `of`. Files
+/// tag: every shard 0..of-1 exactly once, all agreeing on `of` and on
+/// `identity`, the merging run's configuration identity. Files
 /// with foreign tags are skipped, so a mixed pile (e.g. all four Figure 3
 /// panels) can be handed to every merge call. False + `error` on any
 /// read, decode or consistency failure.
 bool merge_domain_shards(const std::vector<std::string>& paths,
-                         const std::string& tag, ParallelCampaignResult& out,
-                         std::string& error);
+                         const std::string& tag, const std::string& identity,
+                         ParallelCampaignResult& out, std::string& error);
 bool merge_sweep_shards(const std::vector<std::string>& paths,
-                        const std::string& tag, ParallelSweepResult& out,
-                        std::string& error);
+                        const std::string& tag, const std::string& identity,
+                        ParallelSweepResult& out, std::string& error);
 
 }  // namespace zh::scanner

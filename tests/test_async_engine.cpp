@@ -300,7 +300,7 @@ TEST(AsyncEngineEquivalence, ProcsComposedShardsMergeToSerial) {
 
   ParallelCampaignResult merged;
   std::string error;
-  ASSERT_TRUE(merge_domain_shards(paths, "equiv", merged, error)) << error;
+  ASSERT_TRUE(merge_domain_shards(paths, "equiv", "", merged, error)) << error;
   EXPECT_EQ(merged.jobs, 2u);
   expect_same(serial.stats, merged.stats);
   EXPECT_EQ(serial.queries_issued, merged.queries_issued);

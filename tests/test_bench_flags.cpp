@@ -83,6 +83,40 @@ TEST(BenchFlags, MaxInflightLandsInFlagsAndOptions) {
   EXPECT_EQ(parse_flags(argv2.argc(), argv2.argv()).max_inflight, 1024u);
 }
 
+// The shard identity names the scales and the seed as the benches read
+// them, and leaves out the knobs pinned as unobservable.
+TEST(BenchEnv, ShardIdentityCoversOutputSettingsOnly) {
+  char prog[] = "bench";
+  char jobs[] = "--jobs";
+  char four[] = "4";
+  char window[] = "--max-inflight";
+  char one[] = "1";
+  char* argv_plain[] = {prog};
+  char* argv_knobs[] = {prog, jobs, four, window, one};
+  std::string small, other;
+  {
+    const EnvVar scale("ZH_SCALE", "0.0001");
+    small = parse_flags(1, argv_plain).identity();
+    EXPECT_EQ(parse_flags(5, argv_knobs).identity(), small);
+    EXPECT_NE(small.find("scale=0.0001"), std::string::npos) << small;
+    EXPECT_NE(small.find("seed=42"), std::string::npos) << small;
+  }
+  {
+    const EnvVar scale("ZH_SCALE", "0.0002");
+    const EnvVar seed("ZH_SEED", "7");
+    other = parse_flags(1, argv_plain).identity();
+    EXPECT_NE(other.find("seed=7"), std::string::npos) << other;
+  }
+  EXPECT_NE(small, other);
+  {
+    const EnvVar scale("ZH_SCALE", "0.0001");
+    char loss[] = "--loss";
+    char tenth[] = "0.1";
+    char* argv_loss[] = {prog, loss, tenth};
+    EXPECT_NE(parse_flags(3, argv_loss).identity(), small);
+  }
+}
+
 TEST(BenchEnv, MaxInflightComesFromEnvironment) {
   EnvVar inflight("ZH_MAX_INFLIGHT", "64");
   Argv argv({"bench"});

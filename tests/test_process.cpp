@@ -164,7 +164,7 @@ TEST(ProcessCampaign, KProcessCampaignMatchesInProcess) {
     const std::vector<std::string> paths = emit_domain_shards(of, dir);
     ParallelCampaignResult merged;
     std::string error;
-    ASSERT_TRUE(merge_domain_shards(paths, "t", merged, error)) << error;
+    ASSERT_TRUE(merge_domain_shards(paths, "t", "", merged, error)) << error;
     EXPECT_EQ(merged.jobs, of * kWorkerJobs);
     EXPECT_EQ(canonical_bytes(merged), want);
     // Hash-work cost is per-worker-world, so it matches the in-process run
@@ -188,7 +188,7 @@ TEST(ProcessCampaign, KProcessSweepMatchesInProcess) {
     const std::vector<std::string> paths = emit_sweep_shards(of, dir);
     ParallelSweepResult merged;
     std::string error;
-    ASSERT_TRUE(merge_sweep_shards(paths, "t", merged, error)) << error;
+    ASSERT_TRUE(merge_sweep_shards(paths, "t", "", merged, error)) << error;
     EXPECT_EQ(merged.population, serial.population);
     EXPECT_EQ(canonical_bytes(merged), want);
     expect_same_cost(merged.cost, in_process.cost);
@@ -220,6 +220,48 @@ TEST(ProcessCampaign, SubShardOptionsPartitionTheCampaign) {
     EXPECT_EQ(records[i].index, serial.records[i].index) << i;
 }
 
+// Shards emitted under different configurations never merge: a scale
+// 0.0001 shard beside a scale 0.0002, seed 7 shard (which used to merge
+// into a Fig. 1a of n=2523 where the in-process run gives 1797) is
+// refused, and the error names both identities; so is a set whose
+// identity differs from the merging run's.
+TEST(ProcessCampaign, MergeRefusesShardsOfAnotherConfiguration) {
+  const ShardDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string small = "seed=42 scale=0.0001";
+  const std::string other = "seed=7 scale=0.0002";
+  std::vector<std::string> paths;
+  for (unsigned shard = 0; shard < 2; ++shard) {
+    DomainShardArtefact artefact;
+    artefact.tag = "t";
+    artefact.identity = shard == 0 ? small : other;
+    artefact.shard = shard;
+    artefact.of = 2;
+    paths.push_back(dir.write("mixed.s" + std::to_string(shard),
+                              encode_artefact(artefact)));
+  }
+  ParallelCampaignResult merged;
+  std::string error;
+  EXPECT_FALSE(merge_domain_shards(paths, "t", small, merged, error));
+  EXPECT_NE(error.find(small), std::string::npos) << error;
+  EXPECT_NE(error.find(other), std::string::npos) << error;
+
+  // Matching shards merge only under their own identity.
+  std::vector<std::string> same;
+  for (unsigned shard = 0; shard < 2; ++shard) {
+    DomainShardArtefact artefact;
+    artefact.tag = "t";
+    artefact.identity = small;
+    artefact.shard = shard;
+    artefact.of = 2;
+    same.push_back(dir.write("same.s" + std::to_string(shard),
+                             encode_artefact(artefact)));
+  }
+  EXPECT_TRUE(merge_domain_shards(same, "t", small, merged, error)) << error;
+  EXPECT_FALSE(merge_domain_shards(same, "t", other, merged, error));
+  EXPECT_NE(error.find(other), std::string::npos) << error;
+}
+
 TEST(ProcessCampaign, MergeRejectsIncompleteAndForeignSets) {
   const ShardDir dir;
   ASSERT_FALSE(dir.path().empty());
@@ -228,21 +270,22 @@ TEST(ProcessCampaign, MergeRejectsIncompleteAndForeignSets) {
   ParallelCampaignResult merged;
   std::string error;
   // Wrong tag: nothing matches.
-  EXPECT_FALSE(merge_domain_shards(paths, "other", merged, error));
+  EXPECT_FALSE(merge_domain_shards(paths, "other", "", merged, error));
   EXPECT_NE(error.find("no shard artefact"), std::string::npos) << error;
   // Missing shard: incomplete set.
-  EXPECT_FALSE(merge_domain_shards({paths[0]}, "t", merged, error));
+  EXPECT_FALSE(merge_domain_shards({paths[0]}, "t", "", merged, error));
   EXPECT_NE(error.find("incomplete"), std::string::npos) << error;
   // Duplicate shard.
   EXPECT_FALSE(
-      merge_domain_shards({paths[0], paths[0], paths[1]}, "t", merged, error));
+      merge_domain_shards({paths[0], paths[0], paths[1]}, "t", "", merged,
+                          error));
   EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
   // A corrupted file fails typed, and the merge reports which file.
   {
     auto bytes = *analysis::read_bytes_file(paths[1]);
     bytes[bytes.size() / 2] ^= 0x40;
     ASSERT_TRUE(analysis::write_bytes_file(paths[1], bytes));
-    EXPECT_FALSE(merge_domain_shards(paths, "t", merged, error));
+    EXPECT_FALSE(merge_domain_shards(paths, "t", "", merged, error));
     EXPECT_NE(error.find(paths[1]), std::string::npos) << error;
   }
 }
