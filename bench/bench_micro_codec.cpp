@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "dns/message.hpp"
 
 namespace {
@@ -134,6 +137,39 @@ void BM_NameCanonicalCompare(benchmark::State& state) {
     benchmark::DoNotOptimize(Name::canonical_compare(a, b));
 }
 BENCHMARK(BM_NameCanonicalCompare);
+
+// Copy of an inline name (arg 0: a 49-octet NSEC3 owner, no allocation)
+// and of a spilled one (arg 1: 89 octets, one heap block per copy).
+void BM_NameCopy(benchmark::State& state) {
+  const Name inline_name =
+      Name::must_parse("0123456789abcdefghijklmnopqrstuv.d12345.tld0001");
+  const Name spilled = *Name::must_parse("it-150.rfc9276-in-the-wild.com")
+                            .prepended(std::string(50, 'q'));
+  const Name& name = state.range(0) == 0 ? inline_name : spilled;
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    Name copy = name;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_NameCopy)->Arg(0)->Arg(1);
+
+void BM_NameFromWire(benchmark::State& state) {
+  const std::vector<std::uint8_t> wire =
+      Name::must_parse("0123456789abcdefghijklmnopqrstuv.d12345.tld0001")
+          .to_wire();
+  AllocScope allocs(state);
+  for (auto _ : state) benchmark::DoNotOptimize(Name::from_wire(wire));
+}
+BENCHMARK(BM_NameFromWire);
+
+void BM_NameHash(benchmark::State& state) {
+  const Name name =
+      Name::must_parse("0123456789ABCDEFGHIJKLMNOPQRSTUV.d12345.tld0001");
+  AllocScope allocs(state);
+  for (auto _ : state) benchmark::DoNotOptimize(name.hash());
+}
+BENCHMARK(BM_NameHash);
 
 }  // namespace
 
