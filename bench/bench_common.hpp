@@ -25,10 +25,9 @@
 //                      kernels (also --sha1-impl scalar; default: SHA-NI
 //                      where the host has it — see src/crypto/sha1.hpp,
 //                      src/crypto/sha2.hpp and docs/PERFORMANCE.md)
-//   ZH_CHAIN_MEMO      NSEC3 chain memo capacity, 0 disables it and the
-//                      NSEC3 digest memo (also --chain-memo N; default
-//                      4096, auto-grown to the domain population — see
-//                      src/zone/chain_memo.hpp, src/crypto/nsec3_memo.hpp)
+//   ZH_CHAIN_MEMO      0 switches the per-thread NSEC3 digest memo off,
+//                      any other integer leaves it on (also --chain-memo
+//                      N; default on — see src/crypto/nsec3_memo.hpp)
 //   ZH_AGGRESSIVE_NSEC on | off RFC 8198 aggressive NSEC3 caching + RFC
 //                      9520 failure caching in the scan resolver (also
 //                      --aggressive-nsec E; default off — off is
@@ -53,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/nsec3_memo.hpp"
 #include "crypto/sha1.hpp"
 #include "scanner/campaign.hpp"
 #include "scanner/parallel.hpp"
@@ -62,7 +62,6 @@
 #include "trace/export.hpp"
 #include "workload/install.hpp"
 #include "workload/resolver_population.hpp"
-#include "zone/chain_memo.hpp"
 
 namespace zh::bench {
 
@@ -183,8 +182,8 @@ inline bool parse_double_flag(
 ///   --sha1-impl scalar          force the portable SHA-1 and SHA-256
 ///                               kernels instead of SHA-NI — outputs are
 ///                               kernel-invariant
-///   --chain-memo N              NSEC3 chain memo capacity (0 disables it
-///                               and the digest memo) — outputs are
+///   --chain-memo N              0 switches the NSEC3 digest memo off, any
+///                               other integer on — outputs are
 ///                               memo-invariant
 ///   --aggressive-nsec E         on or off (default): RFC 8198 synthesis +
 ///                               RFC 9520 failure caching in the scan
@@ -219,9 +218,6 @@ struct BenchFlags {
   std::string emit_shard;
   /// Merge-mode inputs: decode + merge these artefacts, run nothing.
   std::vector<std::string> merge_shards;
-  /// NSEC3 chain memo capacity forced via --chain-memo (already installed
-  /// as the process default); nullopt = env/default sizing.
-  std::optional<std::size_t> chain_memo;
   /// RFC 8198 aggressive NSEC3 caching (+ RFC 9520 failure caching) in the
   /// scan resolver / synth-capable panels. nullopt = off, the golden-stable
   /// default; set via --aggressive-nsec / ZH_AGGRESSIVE_NSEC.
@@ -235,8 +231,8 @@ struct BenchFlags {
   /// that travels in each shard artefact, so a merge refuses shards
   /// emitted under another configuration than its own. The scales are
   /// read as the benches read them ("default" when unset or not a number);
-  /// settings pinned as unobservable (--jobs, --max-inflight, the memos,
-  /// the SHA kernel, tracing) stay out.
+  /// settings pinned as unobservable (--jobs, --max-inflight, the digest
+  /// memo, the SHA kernel, tracing) stay out.
   std::string identity() const {
     const auto scale = [](const char* name) -> std::string {
       const char* text = std::getenv(name);
@@ -431,11 +427,9 @@ inline BenchFlags parse_flags(int argc, char** argv) {
                      v, crypto::sha1_scalar_forced() ? "scalar" : "default");
       }
     } else if (const char* v = value_of(i, "--chain-memo")) {
-      std::size_t capacity = zone::Nsec3ChainMemo::default_capacity();
-      if (parse_int_flag("--chain-memo", v, capacity)) {
-        flags.chain_memo = capacity;
-        zone::Nsec3ChainMemo::set_default_capacity(capacity);
-      }
+      std::size_t memo = crypto::Nsec3DigestMemo::enabled() ? 1 : 0;
+      if (parse_int_flag("--chain-memo", v, memo))
+        crypto::Nsec3DigestMemo::set_enabled(memo != 0);
     } else if (const char* v = value_of(i, "--aggressive-nsec")) {
       if (const auto parsed = parse_on_off(v)) {
         flags.aggressive_nsec = *parsed;

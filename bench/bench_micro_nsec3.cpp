@@ -9,30 +9,12 @@
 #include "crypto/sha2.hpp"
 #include "crypto/signing.hpp"
 #include "dns/dnssec.hpp"
-#include "zone/chain_memo.hpp"
 #include "zone/signer.hpp"
 #include "zone/zone.hpp"
 
 namespace {
 
 using zh::dns::Name;
-
-/// Pins the NSEC3 chain memo capacity for one benchmark's scope.
-class ScopedChainMemo {
- public:
-  explicit ScopedChainMemo(std::size_t capacity)
-      : previous_(zh::zone::Nsec3ChainMemo::instance().capacity()) {
-    zh::zone::Nsec3ChainMemo::instance().clear();
-    zh::zone::Nsec3ChainMemo::instance().set_capacity(capacity);
-  }
-  ~ScopedChainMemo() {
-    zh::zone::Nsec3ChainMemo::instance().clear();
-    zh::zone::Nsec3ChainMemo::instance().set_capacity(previous_);
-  }
-
- private:
-  std::size_t previous_;
-};
 
 /// Pins the NSEC3 digest memo on or off for one benchmark's scope, empty.
 class ScopedDigestMemo {
@@ -184,7 +166,7 @@ void BM_Nsec3Hash_SaltLength(benchmark::State& state) {
 }
 BENCHMARK(BM_Nsec3Hash_SaltLength)->Arg(0)->Arg(8)->Arg(40)->Arg(160);
 
-/// A 20-host zone, the shared workload of the signing benches below.
+/// A 20-host zone, BM_SignZone's workload.
 zh::zone::Zone make_bench_zone(std::uint16_t iterations,
                                zh::zone::SignerConfig* config) {
   zh::zone::Zone zone(Name::must_parse("example.com"));
@@ -202,11 +184,10 @@ zh::zone::Zone make_bench_zone(std::uint16_t iterations,
 }
 
 /// Zone signing cost by iteration count (authoritative-side view of Item 2).
-/// Both NSEC3 memos are pinned off here so every iteration pays the full
-/// hash + sign cost — the from-scratch baseline for BM_SignZone_MemoHit.
+/// The digest memo is pinned off so every iteration pays the full hash +
+/// sign cost.
 void BM_SignZone(benchmark::State& state) {
-  ScopedChainMemo memo_off(0);
-  ScopedDigestMemo digest_memo_off(false);
+  ScopedDigestMemo memo_off(false);
   for (auto _ : state) {
     state.PauseTiming();
     zh::zone::SignerConfig config;
@@ -217,29 +198,6 @@ void BM_SignZone(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignZone)->Arg(0)->Arg(1)->Arg(100)->Arg(500);
-
-/// Re-signing an already-seen zone through the chain memo — the lazy-LRU
-/// re-materialisation path. The gap to BM_SignZone at the same iteration
-/// count is what memoisation saves an operator under eviction pressure.
-void BM_SignZone_MemoHit(benchmark::State& state) {
-  ScopedChainMemo memo_on(16);
-  {
-    // Warm the memo with the chain every timed iteration will replay.
-    zh::zone::SignerConfig config;
-    zh::zone::Zone zone = make_bench_zone(
-        static_cast<std::uint16_t>(state.range(0)), &config);
-    zh::zone::sign_zone(zone, config);
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    zh::zone::SignerConfig config;
-    zh::zone::Zone zone = make_bench_zone(
-        static_cast<std::uint16_t>(state.range(0)), &config);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(zh::zone::sign_zone(zone, config));
-  }
-}
-BENCHMARK(BM_SignZone_MemoHit)->Arg(0)->Arg(1)->Arg(100)->Arg(500);
 
 }  // namespace
 

@@ -20,14 +20,12 @@ struct CostMeter {
   /// Number of *logical* SHA-1 compression-function invocations (64-byte
   /// blocks): what a message-at-a-time implementation would have executed.
   /// This is the currency of every amplification figure and of simtime
-  /// service costs, and it is invariant across SHA-1 kernels (sha1.hpp),
-  /// NSEC3 chain memoisation (zone/chain_memo.hpp) and the NSEC3 digest
-  /// memo (nsec3_memo.hpp) — each credits the logical count even when it
-  /// skips or restructures the physical work.
+  /// service costs, and it is invariant across SHA-1 kernels (sha1.hpp)
+  /// and the NSEC3 digest memo (nsec3_memo.hpp) — each credits the logical
+  /// count even when it skips or restructures the physical work.
   static std::uint64_t sha1_blocks() noexcept { return tls().sha1; }
   /// Number of SHA-1 compression blocks *actually executed* on this thread.
-  /// Equal to sha1_blocks() unless memoisation skipped a chain rebuild or
-  /// a digest-memo hit skipped an NSEC3 hash.
+  /// Equal to sha1_blocks() unless a digest-memo hit skipped an NSEC3 hash.
   static std::uint64_t sha1_physical_blocks() noexcept {
     return tls().sha1_physical;
   }
@@ -42,9 +40,9 @@ struct CostMeter {
   }
   static void add_sha2_blocks(std::uint64_t n) noexcept { tls().sha2 += n; }
   static void add_nsec3_hash() noexcept { ++tls().nsec3; }
-  /// Bulk credit — used by the parallel campaign engine to attribute its
-  /// workers' (thread-local) hash work back to the calling thread, and by
-  /// the chain memo to credit logical work it did not physically redo.
+  /// Bulk credit — used by the parallel campaign engine and the shard merge
+  /// to attribute their workers' (thread-local) hash work back to the
+  /// calling thread.
   static void add_nsec3_hashes(std::uint64_t n) noexcept { tls().nsec3 += n; }
 
   /// Resets all counters on the calling thread (test/bench convenience).

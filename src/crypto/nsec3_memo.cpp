@@ -10,24 +10,25 @@
 namespace zh::crypto {
 namespace {
 
-std::optional<std::size_t> parse_chain_memo_env() {
+/// ZH_CHAIN_MEMO, read once: the memo is on unless the value is 0.
+bool memo_on_from_env() {
   const char* raw = std::getenv("ZH_CHAIN_MEMO");
-  if (raw == nullptr) return std::nullopt;
+  if (raw == nullptr) return true;
   char* end = nullptr;
   errno = 0;
   const unsigned long long value = std::strtoull(raw, &end, 10);
   if (errno != 0 || end == raw || *end != '\0' || raw[0] == '-') {
     std::fprintf(stderr,
                  "# ZH_CHAIN_MEMO='%s' is not a non-negative integer; "
-                 "the memos keep their defaults\n",
+                 "the NSEC3 digest memo stays on\n",
                  raw);
-    return std::nullopt;
+    return true;
   }
-  return static_cast<std::size_t>(value);
+  return value != 0;
 }
 
 std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> on{chain_memo_env().value_or(1) != 0};
+  static std::atomic<bool> on{memo_on_from_env()};
   return on;
 }
 
@@ -50,11 +51,6 @@ std::uint64_t mix(std::uint64_t h, std::span<const std::uint8_t> bytes) {
 }
 
 }  // namespace
-
-std::optional<std::size_t> chain_memo_env() {
-  static const std::optional<std::size_t> value = parse_chain_memo_env();
-  return value;
-}
 
 Nsec3DigestMemo& Nsec3DigestMemo::instance() {
   thread_local Nsec3DigestMemo memo;

@@ -13,25 +13,18 @@
 // memo on or off (ZH_CHAIN_MEMO=0). Only CostMeter::sha1_physical_blocks()
 // reveals the saving.
 //
-// The memo is thread-local, like zone::Nsec3ChainMemo: campaign workers are
-// one-thread-one-Internet, so no entry is ever shared and no lock is taken.
+// The memo is thread-local: campaign workers are one-thread-one-Internet, so
+// no entry is ever shared and no lock is taken.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "crypto/nsec3_hash.hpp"
 
 namespace zh::crypto {
-
-/// ZH_CHAIN_MEMO, the one knob of both NSEC3 memos: zone::Nsec3ChainMemo
-/// takes its capacity from it, Nsec3DigestMemo is on unless it is 0. Read
-/// once per process; nullopt when unset or not a non-negative integer (the
-/// latter diagnosed on stderr).
-std::optional<std::size_t> chain_memo_env();
 
 /// Bounded, direct-mapped memo of nsec3_hash results, keyed exactly on
 /// (canonical owner wire, salt, iterations).
@@ -60,7 +53,9 @@ class Nsec3DigestMemo {
   /// The calling thread's memo.
   static Nsec3DigestMemo& instance();
 
-  /// Process-wide switch. First use reads ZH_CHAIN_MEMO (0 disables).
+  /// Process-wide switch. First use reads ZH_CHAIN_MEMO: 0 switches the
+  /// memo off, any other integer leaves it on, and anything else is
+  /// diagnosed on stderr and leaves it on.
   static bool enabled() noexcept;
   /// Pins the switch (bench --chain-memo flag, micro-benchmarks).
   static void set_enabled(bool on) noexcept;
@@ -84,7 +79,7 @@ class Nsec3DigestMemo {
   /// Entries held (never above kCapacity).
   std::size_t size() const noexcept { return size_; }
 
-  /// Drops every entry (zone::Nsec3ChainMemo::clear() calls this too).
+  /// Drops every entry.
   void clear() noexcept;
 
  private:

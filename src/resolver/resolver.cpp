@@ -132,7 +132,6 @@ Message RecursiveResolver::handle(const Message& query,
                                   const simnet::IpAddress& /*source*/) {
   ++stats_.queries_handled;
   const std::uint64_t sha1_before = crypto::CostMeter::sha1_blocks();
-  const std::uint64_t nsec3_before = crypto::CostMeter::nsec3_hashes();
   const std::uint64_t served_before = network_.receiver_sha1_blocks();
   query_start_ = network_.clock().now();
   own_sha1_start_ = sha1_before;
@@ -216,19 +215,12 @@ Message RecursiveResolver::handle(const Message& query,
   last_query_dropped_ = out.drop;
 
   if (out.rcode == Rcode::kServFail) ++stats_.servfails;
-  switch (out.security) {
-    case Security::kSecure: ++stats_.validations_secure; break;
-    case Security::kInsecure: ++stats_.validations_insecure; break;
-    case Security::kBogus: ++stats_.validations_bogus; break;
-  }
   // Own validation work only: subtract hash work performed inside the
   // handlers of nodes this resolver queried (authoritative proof building).
   const std::uint64_t served =
       network_.receiver_sha1_blocks() - served_before;
   const std::uint64_t total = crypto::CostMeter::sha1_blocks() - sha1_before;
   stats_.last_query_sha1_blocks = total > served ? total - served : 0;
-  stats_.last_query_nsec3_hashes =
-      crypto::CostMeter::nsec3_hashes() - nsec3_before;
   // Stage accounting: the whole query in virtual time, plus the service
   // conversion of our own hash work (which the network only applies after
   // this handler returns).
@@ -339,7 +331,6 @@ RecursiveResolver::Outcome RecursiveResolver::forward_query(const Name& qname,
       simnet::exchange(network_, config_.address, config_.forward_target,
                        query, config_.profile.upstream_retry);
   stats_.upstream_queries += ex.attempts - (ex.tcp_fallback ? 1 : 0);
-  if (ex.tcp_fallback) ++stats_.tcp_retries;
   if (ex.timed_out) ++stats_.upstream_timeouts;
   if (!ex.response) {
     Outcome out = ex.timed_out
@@ -386,7 +377,6 @@ std::optional<Message> RecursiveResolver::query_servers(
         network_, config_.address, server, query,
         config_.profile.upstream_retry);
     stats_.upstream_queries += ex.attempts - (ex.tcp_fallback ? 1 : 0);
-    if (ex.tcp_fallback) ++stats_.tcp_retries;
     if (ex.timed_out) {
       ++stats_.upstream_timeouts;
       upstream_timeout_ = true;
@@ -1118,8 +1108,6 @@ void RecursiveResolver::cache_nsec3_intervals(const Message& response,
   if (intervals.empty()) return;
   if (neg_cache_->insert(ctx.apex, params, intervals))
     ++stats_.neg_cache_inserts;
-  else
-    ++stats_.neg_cache_rejects;
 }
 
 }  // namespace zh::resolver

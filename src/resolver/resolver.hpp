@@ -44,23 +44,17 @@ enum class Security {
 struct ResolverStats {
   std::uint64_t queries_handled = 0;
   std::uint64_t upstream_queries = 0;
-  std::uint64_t tcp_retries = 0;  // truncated UDP answers refetched over TCP
   std::uint64_t upstream_timeouts = 0;  // exchanges that exhausted all retries
   std::uint64_t cache_hits = 0;
   std::uint64_t servfails = 0;
-  std::uint64_t validations_secure = 0;
-  std::uint64_t validations_insecure = 0;
-  std::uint64_t validations_bogus = 0;
   /// SHA-1 compression blocks spent validating the most recent query — the
   /// CVE-2023-50868 cost signal.
   std::uint64_t last_query_sha1_blocks = 0;
-  std::uint64_t last_query_nsec3_hashes = 0;
   /// RFC 8198 aggressive-cache activity (zero unless the profile enables
   /// aggressive_nsec).
   std::uint64_t neg_synth_hits = 0;             // answers synthesized
   std::uint64_t neg_synth_optout_refusals = 0;  // cover was Opt-Out (§5.2)
   std::uint64_t neg_cache_inserts = 0;          // interval batches accepted
-  std::uint64_t neg_cache_rejects = 0;          // malformed batches refused
   /// RFC 9520 failure-cache activity (zero unless failure_caching is on).
   std::uint64_t failure_cache_hits = 0;
   std::uint64_t failure_cache_inserts = 0;

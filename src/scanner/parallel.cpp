@@ -21,20 +21,6 @@ CostTally read_worker_cost() {
   return cost;
 }
 
-/// Credits summed worker hash-work to the calling thread's meter, so cost
-/// scopes around a parallel campaign see the same totals as a serial run.
-void credit_caller(const CostTally& cost) {
-  crypto::CostMeter::add_sha1_blocks(cost.sha1_blocks);
-  crypto::CostMeter::add_sha2_blocks(cost.sha2_blocks);
-  crypto::CostMeter::add_nsec3_hashes(cost.nsec3_hashes);
-}
-
-void accumulate(CostTally& into, const CostTally& from) {
-  into.sha1_blocks += from.sha1_blocks;
-  into.sha2_blocks += from.sha2_blocks;
-  into.nsec3_hashes += from.nsec3_hashes;
-}
-
 /// Distinct per-shard scanner source address (198.18.0.0/15, the
 /// benchmarking range). No campaign statistic depends on it.
 simnet::IpAddress shard_source(unsigned shard) {
@@ -73,6 +59,18 @@ void run_sharded(unsigned jobs,
 }
 
 }  // namespace
+
+void accumulate(CostTally& into, const CostTally& from) {
+  into.sha1_blocks += from.sha1_blocks;
+  into.sha2_blocks += from.sha2_blocks;
+  into.nsec3_hashes += from.nsec3_hashes;
+}
+
+void credit_caller(const CostTally& cost) {
+  crypto::CostMeter::add_sha1_blocks(cost.sha1_blocks);
+  crypto::CostMeter::add_sha2_blocks(cost.sha2_blocks);
+  crypto::CostMeter::add_nsec3_hashes(cost.nsec3_hashes);
+}
 
 unsigned default_jobs() {
   return std::max(1u, std::thread::hardware_concurrency());

@@ -135,6 +135,14 @@ struct CostTally {
   std::uint64_t nsec3_hashes = 0;
 };
 
+/// Adds `from` to `into`, counter by counter.
+void accumulate(CostTally& into, const CostTally& from);
+
+/// Credits `cost` to the calling thread's crypto::CostMeter, so cost scopes
+/// around a parallel campaign or a shard merge see the same totals as a
+/// serial run.
+void credit_caller(const CostTally& cost);
+
 struct ParallelCampaignResult {
   DomainCampaignStats stats;
   /// All shards' records, re-sorted by domain index (== serial order).

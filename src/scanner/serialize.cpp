@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "crypto/cost_meter.hpp"
-
 namespace zh::scanner {
 namespace {
 
@@ -475,20 +473,6 @@ bool collect_shards(const std::vector<std::string>& paths,
     return false;
   }
   return true;
-}
-
-void accumulate(CostTally& into, const CostTally& from) {
-  into.sha1_blocks += from.sha1_blocks;
-  into.sha2_blocks += from.sha2_blocks;
-  into.nsec3_hashes += from.nsec3_hashes;
-}
-
-/// Same contract as the in-process engine: the merged result credits the
-/// shards' hash work to the calling thread's meter.
-void credit_caller(const CostTally& cost) {
-  crypto::CostMeter::add_sha1_blocks(cost.sha1_blocks);
-  crypto::CostMeter::add_sha2_blocks(cost.sha2_blocks);
-  crypto::CostMeter::add_nsec3_hashes(cost.nsec3_hashes);
 }
 
 }  // namespace

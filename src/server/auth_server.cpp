@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dns/dnssec.hpp"
-#include "zone/chain_memo.hpp"
 
 namespace zh::server {
 namespace {
@@ -147,14 +146,12 @@ void AuthoritativeServer::set_tracer(trace::Tracer* tracer) {
     evict_metric_ = metrics.counter("server.zone_evict");
     resign_metric_ = metrics.counter("server.zone_resign");
     grow_metric_ = metrics.counter("server.zone_cache_grow");
-    chain_memo_metric_ = metrics.counter("server.chain_memo_hit");
   } else {
     hit_metric_ = nullptr;
     materialise_metric_ = nullptr;
     evict_metric_ = nullptr;
     resign_metric_ = nullptr;
     grow_metric_ = nullptr;
-    chain_memo_metric_ = nullptr;
   }
 }
 
@@ -171,14 +168,7 @@ std::shared_ptr<const Zone> AuthoritativeServer::lazy_zone(
   if (tracer_ != nullptr && tracer_->enabled())
     materialise_span = tracer_->span("server", "zone.materialise",
                                      apex.canonical().to_string());
-  // The chain memo is thread-local; a delta around the provider call
-  // attributes its hits to this server.
-  const std::uint64_t memo_hits_before =
-      zone::Nsec3ChainMemo::instance().stats().hits;
   auto zone = provider_(apex);
-  if (chain_memo_metric_ != nullptr)
-    *chain_memo_metric_ +=
-        zone::Nsec3ChainMemo::instance().stats().hits - memo_hits_before;
   if (!zone) return nullptr;
   ++lazy_materialisations_;
   if (materialise_metric_ != nullptr) ++*materialise_metric_;

@@ -126,9 +126,6 @@ class AuthoritativeServer {
   trace::Metrics::Counter evict_metric_ = nullptr;
   trace::Metrics::Counter resign_metric_ = nullptr;
   trace::Metrics::Counter grow_metric_ = nullptr;
-  /// Chain-memo hits attributable to this server's materialisations (the
-  /// delta of the thread-local memo stats around each provider call).
-  trace::Metrics::Counter chain_memo_metric_ = nullptr;
 };
 
 }  // namespace zh::server

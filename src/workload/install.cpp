@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "zone/chain_memo.hpp"
-
 namespace zh::workload {
 
 testbed::DomainConfig domain_config_for(const DomainProfile& profile,
@@ -23,13 +21,6 @@ testbed::DomainConfig domain_config_for(const DomainProfile& profile,
 InstalledEcosystem install_ecosystem(testbed::Internet& internet,
                                      const EcosystemSpec& spec) {
   InstalledEcosystem installed;
-
-  // Size the NSEC3 chain memo for this population: every evicted-and-revived
-  // customer zone then re-signs from the memo instead of re-hashing its
-  // chain. Campaign workers install on their own threads, so raising the
-  // process default reaches each worker's thread-local memo. No-op when
-  // ZH_CHAIN_MEMO pinned an explicit capacity.
-  zone::Nsec3ChainMemo::reserve_default_for(spec.domain_count());
 
   // TLD census.
   for (const TldProfile& tld : spec.tlds()) {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 
-#include "crypto/cost_meter.hpp"
 #include "crypto/signing.hpp"
 #include "dns/dnssec.hpp"
 #include "dns/encoding.hpp"
-#include "zone/chain_memo.hpp"
 
 namespace zh::zone {
 namespace {
@@ -162,119 +160,62 @@ SigningResult sign_zone(Zone& zone, const SignerConfig& config) {
                                     nsec));
     }
   } else {
-    // NSEC3: hash every candidate (minus opted-out insecure delegations),
-    // sort by hash, link circularly. The whole chain build — batch hashing
-    // plus per-entry RRSIGs — is memoised (zone/chain_memo.hpp): a lazy
-    // re-materialisation of an evicted zone replays the cached chain and
-    // credits the same *logical* hash cost without redoing the work.
+    // NSEC3: hash every candidate (minus opted-out insecure delegations)
+    // through dns::nsec3_hash_name, sort by hash, link circularly, and sign
+    // each record.
     const std::uint32_t nsec3_expiration =
         config.nsec3_rrsig_expiration.value_or(config.expiration);
     const std::span<const std::uint8_t> salt_span(config.nsec3.salt.data(),
                                                   config.nsec3.salt.size());
+    // Drop opted-out delegations first, so the reserve below is exact: the
+    // zone keeps this vector, capacity included.
+    if (config.nsec3.opt_out)
+      std::erase_if(candidates, [](const Candidate& candidate) {
+        return candidate.insecure_delegation;
+      });
 
-    std::vector<Name> chain_names;
-    std::vector<dns::TypeBitmap> chain_bitmaps;
-    chain_names.reserve(candidates.size());
-    chain_bitmaps.reserve(candidates.size());
+    std::vector<Nsec3ChainEntry> entries;
+    entries.reserve(candidates.size());
     for (const Candidate& candidate : candidates) {
-      if (config.nsec3.opt_out && candidate.insecure_delegation) continue;
-      const ZoneNode* node = zone.node(candidate.name);
-      chain_names.push_back(candidate.name);
-      chain_bitmaps.push_back(node_bitmap(zone, candidate.name, *node,
-                                          DenialMode::kNsec3,
-                                          /*will_be_signed=*/true));
+      Nsec3ChainEntry entry;
+      const crypto::Nsec3Digest digest = dns::nsec3_hash_name(
+          candidate.name, salt_span, config.nsec3.iterations);
+      entry.hash.assign(digest.begin(), digest.end());
+      entry.owner = zone.apex()
+                        .prepended(dns::base32hex_encode(digest))
+                        .value_or(zone.apex());
+      entry.ttl = config.nsec_ttl;
+      entry.rdata.hash_algorithm = 1;
+      entry.rdata.flags =
+          config.nsec3.opt_out ? dns::Nsec3Rdata::kFlagOptOut : 0;
+      entry.rdata.iterations = config.nsec3.iterations;
+      entry.rdata.salt = config.nsec3.salt;
+      entry.rdata.types =
+          node_bitmap(zone, candidate.name, *zone.node(candidate.name),
+                      DenialMode::kNsec3, /*will_be_signed=*/true);
+      entries.push_back(std::move(entry));
     }
+    std::sort(entries.begin(), entries.end(),
+              [](const Nsec3ChainEntry& a, const Nsec3ChainEntry& b) {
+                return std::lexicographical_compare(a.hash.begin(),
+                                                    a.hash.end(),
+                                                    b.hash.begin(),
+                                                    b.hash.end());
+              });
+    for (std::size_t i = 0; i < entries.size(); ++i)
+      entries[i].rdata.next_hash = entries[(i + 1) % entries.size()].hash;
 
-    // Exact (collision-free) memo key over every input the finished chain
-    // depends on: identity + parameters + validity window + key seed, then
-    // each member name with its type bitmap.
-    Nsec3ChainMemo& memo = Nsec3ChainMemo::instance();
-    std::string memo_key;
-    bool chain_done = false;
-    if (memo.enabled()) {
-      ChainKeyBuilder kb;
-      kb.add_name(zone.apex());
-      kb.add_string(seed);
-      kb.add_u16(config.nsec3.iterations);
-      kb.add_bytes(salt_span);
-      kb.add_bool(config.nsec3.opt_out);
-      kb.add_u32(config.nsec_ttl);
-      kb.add_u32(config.inception);
-      kb.add_u32(nsec3_expiration);
-      kb.add_u64(chain_names.size());
-      for (std::size_t i = 0; i < chain_names.size(); ++i) {
-        kb.add_name(chain_names[i]);
-        const auto bitmap = chain_bitmaps[i].encode();
-        kb.add_bytes(
-            std::span<const std::uint8_t>(bitmap.data(), bitmap.size()));
-      }
-      memo_key = std::move(kb).take();
-      if (const auto* cached = memo.lookup(memo_key)) {
-        crypto::CostMeter::add_sha1_blocks(cached->cost.sha1_blocks);
-        crypto::CostMeter::add_sha2_blocks(cached->cost.sha2_blocks);
-        crypto::CostMeter::add_nsec3_hashes(cached->cost.nsec3_hashes);
-        zone.set_nsec3_chain(std::vector<Nsec3ChainEntry>(cached->entries),
-                             config.nsec3);
-        chain_done = true;
-      }
+    for (Nsec3ChainEntry& entry : entries) {
+      RrSet set;
+      set.name = entry.owner;
+      set.type = RrType::kNsec3;
+      set.ttl = entry.ttl;
+      set.rdatas = {entry.rdata.encode()};
+      entry.rrsigs.push_back(make_rrsig(zone, set, config, zsk_key,
+                                        result.zsk, nsec3_expiration,
+                                        signed_data));
     }
-
-    if (!chain_done) {
-      const std::uint64_t sha1_before = crypto::CostMeter::sha1_blocks();
-      const std::uint64_t sha2_before = crypto::CostMeter::sha2_blocks();
-      const std::uint64_t nsec3_before = crypto::CostMeter::nsec3_hashes();
-
-      std::vector<Nsec3ChainEntry> entries;
-      entries.reserve(chain_names.size());
-      for (std::size_t i = 0; i < chain_names.size(); ++i) {
-        Nsec3ChainEntry entry;
-        const crypto::Nsec3Digest digest = dns::nsec3_hash_name(
-            chain_names[i], salt_span, config.nsec3.iterations);
-        entry.hash.assign(digest.begin(), digest.end());
-        entry.owner = zone.apex()
-                          .prepended(dns::base32hex_encode(digest))
-                          .value_or(zone.apex());
-        entry.ttl = config.nsec_ttl;
-        entry.rdata.hash_algorithm = 1;
-        entry.rdata.flags =
-            config.nsec3.opt_out ? dns::Nsec3Rdata::kFlagOptOut : 0;
-        entry.rdata.iterations = config.nsec3.iterations;
-        entry.rdata.salt = config.nsec3.salt;
-        entry.rdata.types = std::move(chain_bitmaps[i]);
-        entries.push_back(std::move(entry));
-      }
-      std::sort(entries.begin(), entries.end(),
-                [](const Nsec3ChainEntry& a, const Nsec3ChainEntry& b) {
-                  return std::lexicographical_compare(a.hash.begin(),
-                                                      a.hash.end(),
-                                                      b.hash.begin(),
-                                                      b.hash.end());
-                });
-      for (std::size_t i = 0; i < entries.size(); ++i)
-        entries[i].rdata.next_hash = entries[(i + 1) % entries.size()].hash;
-
-      // Sign each NSEC3 RRset.
-      for (Nsec3ChainEntry& entry : entries) {
-        RrSet set;
-        set.name = entry.owner;
-        set.type = RrType::kNsec3;
-        set.ttl = entry.ttl;
-        set.rdatas = {entry.rdata.encode()};
-        entry.rrsigs.push_back(make_rrsig(zone, set, config, zsk_key,
-                                          result.zsk, nsec3_expiration,
-                                          signed_data));
-      }
-
-      if (memo.enabled()) {
-        const ChainCost cost{
-            crypto::CostMeter::sha1_blocks() - sha1_before,
-            crypto::CostMeter::sha2_blocks() - sha2_before,
-            crypto::CostMeter::nsec3_hashes() - nsec3_before};
-        memo.insert(std::move(memo_key),
-                    std::vector<Nsec3ChainEntry>(entries), cost);
-      }
-      zone.set_nsec3_chain(std::move(entries), config.nsec3);
-    }
+    zone.set_nsec3_chain(std::move(entries), config.nsec3);
   }
 
   // 4. Sign every authoritative RRset. DNSKEY is signed by the KSK,

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -200,10 +201,6 @@ TEST(BenchFlags, IntegerFlagsRejectGarbageAndKeepThePreviousValue) {
        [](const BenchFlags& f) -> std::uint64_t { return f.pending_budget; }},
       {"--shard", "1", [](const BenchFlags& f) -> std::uint64_t { return f.shard; }},
       {"--of", "3", [](const BenchFlags& f) -> std::uint64_t { return f.of; }},
-      {"--chain-memo", "128",
-       [](const BenchFlags& f) -> std::uint64_t {
-         return f.chain_memo.value_or(~std::uint64_t{0});
-       }},
       {"--neg-cache-cap", "512",
        [](const BenchFlags& f) -> std::uint64_t { return f.neg_cache_cap; }},
       {"--failure-cache-ttl", "2000",
@@ -225,8 +222,6 @@ TEST(BenchFlags, IntegerFlagsRejectGarbageAndKeepThePreviousValue) {
     Argv argv(args);
     return parse_flags(argv.argc(), argv.argv());
   };
-  const std::size_t memo_capacity = zone::Nsec3ChainMemo::default_capacity();
-  const bool digest_memo = crypto::Nsec3DigestMemo::enabled();
 
   Argv none({"bench"});
   const BenchFlags defaults = parse_flags(none.argc(), none.argv());
@@ -248,9 +243,6 @@ TEST(BenchFlags, IntegerFlagsRejectGarbageAndKeepThePreviousValue) {
       EXPECT_EQ(flag.read(parse(flag.name, flag.valid, equals)), valid);
     }
   }
-
-  zone::Nsec3ChainMemo::set_default_capacity(memo_capacity);
-  crypto::Nsec3DigestMemo::set_enabled(digest_memo);
 }
 
 TEST(BenchFlags, RealFlagsRejectGarbageAndKeepThePreviousValue) {
@@ -434,38 +426,40 @@ TEST(BenchFlags, Sha1ImplParsesAndForwardsToWorkers) {
 }
 
 TEST(BenchFlags, ChainMemoParsesAndForwardsToWorkers) {
-  const std::size_t previous = zone::Nsec3ChainMemo::default_capacity();
-  const bool previous_digest_memo = crypto::Nsec3DigestMemo::enabled();
-
-  Argv argv({"bench", "--chain-memo", "0"});
-  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
-  ASSERT_TRUE(flags.chain_memo.has_value());
-  EXPECT_EQ(*flags.chain_memo, 0u);
-  EXPECT_EQ(zone::Nsec3ChainMemo::default_capacity(), 0u);
-  // The one knob switches the NSEC3 digest memo off with the chain memo.
-  EXPECT_FALSE(crypto::Nsec3DigestMemo::enabled());
-
-  // Negative and non-numeric values keep the previous default.
-  Argv argv2({"bench", "--chain-memo", "-4"});
-  const BenchFlags negative = parse_flags(argv2.argc(), argv2.argv());
-  EXPECT_FALSE(negative.chain_memo.has_value());
-  EXPECT_EQ(zone::Nsec3ChainMemo::default_capacity(), 0u);
-
-  Argv argv3({"bench", "--chain-memo", "many"});
-  const BenchFlags garbage = parse_flags(argv3.argc(), argv3.argv());
-  EXPECT_FALSE(garbage.chain_memo.has_value());
-  EXPECT_EQ(zone::Nsec3ChainMemo::default_capacity(), 0u);
-
-  // A valid value lands even in equals form.
-  Argv argv4({"bench", "--chain-memo=128"});
-  const BenchFlags large = parse_flags(argv4.argc(), argv4.argv());
-  ASSERT_TRUE(large.chain_memo.has_value());
-  EXPECT_EQ(*large.chain_memo, 128u);
-  EXPECT_EQ(zone::Nsec3ChainMemo::default_capacity(), 128u);
-  EXPECT_TRUE(crypto::Nsec3DigestMemo::enabled());
-
-  zone::Nsec3ChainMemo::set_default_capacity(previous);
-  crypto::Nsec3DigestMemo::set_enabled(previous_digest_memo);
+  // --chain-memo sets the process-wide NSEC3 digest memo switch that every
+  // campaign worker thread reads: 0 switches the memo off and any other
+  // integer on. Garbage is reported on stderr and leaves the switch as it
+  // was, in both the `--flag V` and the `--flag=V` form.
+  const bool previous = crypto::Nsec3DigestMemo::enabled();
+  const auto enabled_on_a_worker = [] {
+    bool on = false;
+    std::thread([&on] { on = crypto::Nsec3DigestMemo::enabled(); }).join();
+    return on;
+  };
+  for (const bool equals : {false, true}) {
+    SCOPED_TRACE(equals ? "--flag=V" : "--flag V");
+    const auto parse = [equals](const std::string& value) {
+      Argv argv(equals ? std::vector<std::string>{"bench",
+                                                  "--chain-memo=" + value}
+                       : std::vector<std::string>{"bench", "--chain-memo",
+                                                  value});
+      (void)parse_flags(argv.argc(), argv.argv());
+    };
+    for (const bool on : {false, true}) {
+      parse(on ? "128" : "0");
+      EXPECT_EQ(crypto::Nsec3DigestMemo::enabled(), on);
+      EXPECT_EQ(enabled_on_a_worker(), on);
+      for (const char* bad : {"banana", "-3", "-4", "12abc", "many"}) {
+        ::testing::internal::CaptureStderr();
+        parse(bad);
+        const std::string diagnostic =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(crypto::Nsec3DigestMemo::enabled(), on) << bad;
+        EXPECT_NE(diagnostic.find("--chain-memo"), std::string::npos) << bad;
+      }
+    }
+  }
+  crypto::Nsec3DigestMemo::set_enabled(previous);
 }
 
 TEST(BenchFlags, AggressiveNsecParsesAndForwardsToWorkers) {

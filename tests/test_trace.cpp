@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "scanner/parallel.hpp"
+#include "server/auth_server.hpp"
 #include "testbed/internet.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
@@ -461,6 +462,75 @@ TEST(TraceMetrics, LazyZoneCacheGrowsUnderResignPressure) {
   for (const Event& event : shard.events)
     if (std::string_view(event.name) == "zone.cache_grow") ++grow_instants;
   EXPECT_EQ(grow_instants, srv.lazy_cache_growths());
+}
+
+TEST(TraceMetrics, LazyZoneCacheStopsAtItsCap) {
+  // A working set larger than the adaptive LRU's maximum: the capacity
+  // doubles up to the cap and no further, the LRU never holds more zones
+  // than the cap, every revisit re-signs and counts in server.zone_resign,
+  // and a revived zone answers with the bytes of its first materialisation.
+  using dns::Message;
+  using dns::Name;
+
+  constexpr int kDomains = 24;
+  constexpr std::size_t kCapacity = 2;
+  constexpr std::size_t kMaxCapacity = 8;
+
+  FakeTime time;
+  Tracer tracer(&time);
+  server::AuthoritativeServer srv("bulk-ns");
+  srv.set_tracer(&tracer);
+  const simnet::IpAddress host = simnet::IpAddress::v4(192, 0, 2, 53);
+  srv.set_lazy_provider(
+      [](const Name& qname) -> std::optional<Name> {
+        if (qname.label_count() < 2) return std::nullopt;
+        return qname.ancestor_with_labels(2);
+      },
+      [host](const Name& apex) -> std::shared_ptr<const zone::Zone> {
+        testbed::DomainConfig config;
+        config.apex = apex;
+        config.nsec3 = {.iterations = 5, .salt = {0xab}, .opt_out = false};
+        return testbed::Internet::materialise_zone(config, host);
+      },
+      kCapacity);
+  srv.set_lazy_cache_adaptive(kMaxCapacity);
+
+  // An NXDOMAIN answer carries the zone's NSEC3 proof, so the revived
+  // zone's chain shows in the bytes compared below.
+  const auto ask = [&srv](int i) {
+    return srv.handle(
+        Message::make_query(
+            1, Name::must_parse("nx.cap" + std::to_string(i) + ".com"),
+            dns::RrType::kA, /*dnssec=*/true),
+        simnet::IpAddress::v4(203, 0, 113, 10));
+  };
+  const auto held = [&srv] {
+    return srv.lazy_materialisations() - srv.lazy_evictions();
+  };
+
+  const Message first = ask(0);
+  ASSERT_EQ(first.header.rcode, dns::Rcode::kNxDomain);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int i = 0; i < kDomains; ++i) {
+      ask(i);
+      ASSERT_LE(srv.lazy_cache_capacity(), kMaxCapacity) << pass << "/" << i;
+      ASSERT_LE(held(), kMaxCapacity) << pass << "/" << i;
+    }
+  }
+  // 2 -> 4 -> 8 on the first two re-signs, then no further.
+  EXPECT_EQ(srv.lazy_cache_growths(), 2u);
+  EXPECT_EQ(srv.lazy_cache_capacity(), kMaxCapacity);
+  EXPECT_EQ(held(), kMaxCapacity);
+  // Visited in order through at most 8 slots, each of the 24 zones is
+  // evicted before its next visit: the first pass re-signs nothing, each
+  // later pass re-signs every zone.
+  EXPECT_EQ(srv.lazy_resigns(), 2u * kDomains);
+  EXPECT_EQ(tracer.metrics().value("server.zone_resign"), srv.lazy_resigns());
+
+  const std::uint64_t resigns = srv.lazy_resigns();
+  const Message revived = ask(0);
+  EXPECT_EQ(srv.lazy_resigns(), resigns + 1);
+  EXPECT_EQ(revived.to_wire(), first.to_wire());
 }
 
 }  // namespace

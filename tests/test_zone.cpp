@@ -1,12 +1,17 @@
 // Unit tests for the zone model and the DNSSEC signer: empty non-terminals,
 // closest enclosers, delegations, NSEC/NSEC3 chain construction, opt-out,
-// signature validity and the expired-signature overrides.
+// signature validity, the expired-signature overrides, and the signer's
+// hashing through the NSEC3 digest memo.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "crypto/cost_meter.hpp"
+#include "crypto/nsec3_memo.hpp"
 #include "crypto/signing.hpp"
 #include "dns/dnssec.hpp"
+#include "zone/chain_memo.hpp"
 #include "zone/signer.hpp"
 #include "zone/zone.hpp"
 
@@ -389,6 +394,114 @@ TEST(Signer, DeterministicAcrossRuns) {
   ASSERT_EQ(zone1.nsec3_entries().size(), zone2.nsec3_entries().size());
   for (std::size_t i = 0; i < zone1.nsec3_entries().size(); ++i)
     EXPECT_EQ(zone1.nsec3_entries()[i].hash, zone2.nsec3_entries()[i].hash);
+}
+
+/// Pins the NSEC3 digest memo on or off for one test, starting and leaving
+/// the calling thread's memo empty.
+class ScopedDigestMemo {
+ public:
+  explicit ScopedDigestMemo(bool on)
+      : previous_(crypto::Nsec3DigestMemo::enabled()) {
+    crypto::Nsec3DigestMemo::set_enabled(on);
+    crypto::Nsec3DigestMemo::instance().clear();
+  }
+  ~ScopedDigestMemo() {
+    crypto::Nsec3DigestMemo::instance().clear();
+    crypto::Nsec3DigestMemo::set_enabled(previous_);
+  }
+
+ private:
+  bool previous_;
+};
+
+SignerConfig memo_config() {
+  SignerConfig config;
+  config.nsec3.iterations = 5;
+  config.nsec3.salt = {0xab, 0xcd};
+  return config;
+}
+
+struct SignCost {
+  std::uint64_t sha1 = 0;
+  std::uint64_t sha1_physical = 0;
+  std::uint64_t sha2 = 0;
+  std::uint64_t nsec3 = 0;
+};
+
+/// Signs a fresh example_zone() and returns the CostMeter deltas, and the
+/// signed zone's full text through `text`.
+SignCost sign_and_measure(std::string* text = nullptr) {
+  using crypto::CostMeter;
+  const std::uint64_t sha1 = CostMeter::sha1_blocks();
+  const std::uint64_t physical = CostMeter::sha1_physical_blocks();
+  const std::uint64_t sha2 = CostMeter::sha2_blocks();
+  const std::uint64_t nsec3 = CostMeter::nsec3_hashes();
+  Zone zone = example_zone();
+  sign_zone(zone, memo_config());
+  if (text != nullptr) *text = zone.to_text();
+  return SignCost{CostMeter::sha1_blocks() - sha1,
+                  CostMeter::sha1_physical_blocks() - physical,
+                  CostMeter::sha2_blocks() - sha2,
+                  CostMeter::nsec3_hashes() - nsec3};
+}
+
+TEST(ChainMemo, LogicalCostsMatchBetweenMemoOnAndOff) {
+  // The digest memo is a throughput knob only: the signed zone and the
+  // logical sha1/sha2/nsec3 counts are the same with it on or off. Off,
+  // every block is executed, on every sign; on and warm, a re-sign
+  // executes none.
+  std::string off_text;
+  SignCost off;
+  SignCost off_again;
+  {
+    ScopedDigestMemo memo(false);
+    off = sign_and_measure(&off_text);
+    off_again = sign_and_measure();
+  }
+  std::string warm_text;
+  SignCost warm;
+  {
+    ScopedDigestMemo memo(true);
+    sign_and_measure();
+    warm = sign_and_measure(&warm_text);
+  }
+  EXPECT_GT(off.sha1, 0u);
+  EXPECT_EQ(off.sha1_physical, off.sha1);
+  EXPECT_EQ(off_again.sha1_physical, off_again.sha1);
+  EXPECT_EQ(warm_text, off_text);
+  EXPECT_EQ(warm.sha1, off.sha1);
+  EXPECT_EQ(warm.sha2, off.sha2);
+  EXPECT_EQ(warm.nsec3, off.nsec3);
+  EXPECT_EQ(warm.sha1_physical, 0u);
+}
+
+TEST(ChainMemo, SignerHashesThroughTheDigestMemo) {
+  // A cold sign executes each chain name's hash once and leaves the digest
+  // in the thread's memo, so the authoritative proof writer's hash of a
+  // chain name on the same thread executes no block.
+  ScopedDigestMemo memo(true);
+  const SignCost cold = sign_and_measure();
+  EXPECT_GT(cold.sha1_physical, 0u);
+  EXPECT_EQ(cold.sha1_physical, cold.sha1);
+
+  const SignerConfig config = memo_config();
+  const std::uint64_t sha1 = crypto::CostMeter::sha1_blocks();
+  const std::uint64_t physical = crypto::CostMeter::sha1_physical_blocks();
+  (void)dns::nsec3_hash_name(Name::must_parse("www.example.com"),
+                             config.nsec3.salt, config.nsec3.iterations);
+  EXPECT_GT(crypto::CostMeter::sha1_blocks(), sha1);
+  EXPECT_EQ(crypto::CostMeter::sha1_physical_blocks(), physical);
+}
+
+TEST(ChainMemo, ClearAlsoEmptiesTheDigestMemo) {
+  // perfbench empties the thread's NSEC3 memo through the zone-side name
+  // before every timed set-up.
+  ScopedDigestMemo memo(true);
+  (void)dns::nsec3_hash_name(Name::must_parse("www.example.com"), {}, 10);
+  ASSERT_GT(crypto::Nsec3DigestMemo::instance().size(), 0u);
+
+  Nsec3ChainMemo::instance().clear();
+  EXPECT_EQ(crypto::Nsec3DigestMemo::instance().size(), 0u);
 }
 
 }  // namespace
