@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark): DNS wire codec — encode/decode of
-// the message shapes the measurement pipeline handles millions of times.
+// the message shapes the measurement pipeline handles millions of times —
+// and the zone store a world build fills with TLD delegations.
 //
 // Every benchmark reports an `allocs/op` counter (counting operator new
 // hook, bench_alloc.hpp).
@@ -8,10 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "dns/message.hpp"
+#include "zone/signer.hpp"
+#include "zone/zone.hpp"
 
 namespace {
 
@@ -170,6 +175,41 @@ void BM_NameHash(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(name.hash());
 }
 BENCHMARK(BM_NameHash);
+
+// A TLD zone of N delegations (NS + DS), added in shuffled order, then
+// frozen and signed NSEC3 opt-out: what a world build pays per TLD.
+void BM_ZoneBuild(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const Name apex = Name::must_parse("tld");
+  const Name ns = Name::must_parse("ns1.hoster.net");
+  std::vector<zh::dns::ResourceRecord> records;
+  records.push_back(zh::dns::make_soa(apex, 86400, ns, 1));
+  records.push_back(zh::dns::make_ns(apex, 86400, ns));
+  for (std::size_t i = 0; i < count; ++i) {
+    const Name child = *apex.prepended("d" + std::to_string(i));
+    records.push_back(zh::dns::make_ns(child, 86400, ns));
+    zh::dns::DsRdata ds;
+    ds.key_tag = static_cast<std::uint16_t>(i);
+    ds.algorithm = 253;
+    ds.digest.assign(32, static_cast<std::uint8_t>(i));
+    records.push_back(
+        zh::dns::ResourceRecord::make(child, RrType::kDs, 86400, ds));
+  }
+  std::shuffle(records.begin(), records.end(),
+               std::mt19937(static_cast<unsigned>(count)));
+  zh::zone::SignerConfig config;
+  config.nsec3.opt_out = true;
+
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    zh::zone::Zone zone(apex);
+    for (const auto& rr : records) zone.add(rr);
+    zone.freeze();
+    benchmark::DoNotOptimize(zh::zone::sign_zone(zone, config));
+    benchmark::DoNotOptimize(zone.record_count());
+  }
+}
+BENCHMARK(BM_ZoneBuild)->Arg(1000)->Arg(30000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

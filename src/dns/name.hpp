@@ -146,11 +146,4 @@ struct NameHash {
   std::size_t operator()(const Name& n) const noexcept { return n.hash(); }
 };
 
-/// Functor for ordered containers in canonical zone order.
-struct NameCanonicalLess {
-  bool operator()(const Name& a, const Name& b) const noexcept {
-    return Name::canonical_compare(a, b) < 0;
-  }
-};
-
 }  // namespace zh::dns

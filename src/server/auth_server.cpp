@@ -79,34 +79,17 @@ class Nsec3ProofWriter {
   std::vector<const zone::Nsec3ChainEntry*> emitted_;
 };
 
-/// Finds the nearest name at-or-before `name` (canonical order, wrapping)
-/// that owns an NSEC record, and appends that NSEC + signature.
+/// Appends the NSEC (+RRSIG) that matches or covers `name`, unless the
+/// response already carries it.
 void append_covering_nsec(const Zone& zone, const Name& name,
                           Message& response) {
-  const auto names = zone.names_in_order();
-  if (names.empty()) return;
-  // Index of last name <= `name`.
-  std::size_t index = names.size() - 1;  // default: wrap to the end
-  const auto it = std::upper_bound(
-      names.begin(), names.end(), name,
-      [](const Name& a, const Name& b) {
-        return Name::canonical_compare(a, b) < 0;
-      });
-  if (it != names.begin())
-    index = static_cast<std::size_t>(it - names.begin()) - 1;
-  for (std::size_t step = 0; step < names.size(); ++step) {
-    const std::size_t i = (index + names.size() - step) % names.size();
-    const ZoneNode* node = zone.node(names[i]);
-    const RrSet* nsec = node ? node->find(RrType::kNsec) : nullptr;
-    if (nsec) {
-      // Avoid duplicates.
-      const auto rr = nsec->to_records().front();
-      for (const auto& existing : response.authorities)
-        if (existing == rr) return;
-      append_rrset(response.authorities, *node, *nsec, /*dnssec=*/true);
-      return;
-    }
-  }
+  const ZoneNode* node = zone.nsec_covering(name);
+  if (!node) return;
+  const RrSet& nsec = *node->find(RrType::kNsec);
+  const auto rr = nsec.to_records().front();
+  for (const auto& existing : response.authorities)
+    if (existing == rr) return;
+  append_rrset(response.authorities, *node, nsec, /*dnssec=*/true);
 }
 
 /// Adds the SOA (+RRSIG) for negative answers.

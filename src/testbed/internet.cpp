@@ -110,6 +110,7 @@ std::shared_ptr<const Zone> Internet::materialise_zone(
     signer.nsec3_rrsig_expiration = config.nsec3_rrsig_expiration;
     zone::sign_zone(*zone, signer);
   }
+  zone->freeze();
   return zone;
 }
 
@@ -275,6 +276,12 @@ void Internet::build() {
     const auto result = zone::sign_zone(*root_zone, signer);
     trust_anchor_.root_ds = result.ds;
   }
+
+  // Unsigned zones were never frozen by the signer; servers read frozen
+  // zones only.
+  root_zone->freeze();
+  for (auto& tld : tld_builds) tld.zone->freeze();
+  for (auto& domain_zone : domain_zones) domain_zone->freeze();
 
   // --- Hosting ---
   auto root_server = std::make_unique<server::AuthoritativeServer>("root");

@@ -126,9 +126,10 @@ class Internet {
     return shared_host_v4_;
   }
 
-  /// Builds a ready-to-serve signed zone from a DomainConfig — also used by
-  /// lazy providers so lazily materialised zones are identical to eager
-  /// ones. `host` decides which address the default ns glue points at.
+  /// Builds a ready-to-serve zone from a DomainConfig, signed unless the
+  /// config says otherwise and frozen either way — also used by lazy
+  /// providers so lazily materialised zones are identical to eager ones.
+  /// `host` decides which address the default ns glue points at.
   static std::shared_ptr<const zone::Zone> materialise_zone(
       const DomainConfig& config, const simnet::IpAddress& host);
 

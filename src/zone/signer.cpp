@@ -71,9 +71,10 @@ dns::TypeBitmap node_bitmap(const Zone& zone, const Name& name,
                             bool will_be_signed) {
   dns::TypeBitmap bitmap;
   const bool delegation = is_delegation(zone, name, node);
-  for (const auto& [type, set] : node.rrsets) {
-    if (delegation && type != RrType::kNs && type != RrType::kDs) continue;
-    bitmap.insert(type);
+  for (const RrSet& set : node.rrsets) {
+    if (delegation && set.type != RrType::kNs && set.type != RrType::kDs)
+      continue;
+    bitmap.insert(set.type);
   }
   // RRSIG appears only where signed data lives: authoritative nodes with
   // records, or delegations that carry a (signed) DS.
@@ -128,7 +129,10 @@ SigningResult sign_zone(Zone& zone, const SignerConfig& config) {
     zone.add(ResourceRecord::make(zone.apex(), RrType::kNsec3Param, 0, param));
   }
 
-  // 2. Collect chain candidates before NSEC records mutate the tree.
+  // The walks below read the nodes in canonical order.
+  zone.freeze();
+
+  // 2. Collect chain candidates before NSEC records mutate the nodes.
   struct Candidate {
     Name name;
     bool insecure_delegation = false;
@@ -224,10 +228,10 @@ SigningResult sign_zone(Zone& zone, const SignerConfig& config) {
   zone.for_each_node([&](const Name& name, const ZoneNode& node) {
     if (is_occluded(zone, name)) return;
     const bool delegation = is_delegation(zone, name, node);
-    for (const auto& [type, set] : node.rrsets) {
-      if (type == RrType::kRrsig) continue;
-      if (delegation && type != RrType::kDs) continue;  // NS+glue unsigned
-      if (type == RrType::kDnskey) {
+    for (const RrSet& set : node.rrsets) {
+      if (set.type == RrType::kRrsig) continue;
+      if (delegation && set.type != RrType::kDs) continue;  // NS+glue unsigned
+      if (set.type == RrType::kDnskey) {
         rrsigs.push_back(make_rrsig(zone, set, config, ksk_key, result.ksk,
                                     config.expiration, signed_data));
       } else {

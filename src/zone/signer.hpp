@@ -47,13 +47,15 @@ struct SigningResult {
 };
 
 /// Signs `zone` in place. Idempotence is not supported: call exactly once
-/// on a fully built (but unsigned) zone.
+/// on a fully built (but unsigned) zone. The signer freezes the zone before
+/// it walks the nodes and adds records only at names the zone holds, so a
+/// signed zone comes back frozen.
 ///
 /// Behaviour:
 ///  * apex gains DNSKEY (KSK+ZSK) and, for NSEC3, an NSEC3PARAM record;
 ///  * every authoritative RRset gains RRSIGs (delegation NS and glue are
 ///    not signed, per RFC 4035 §2.2);
-///  * DenialMode::kNsec adds NSEC records into the name tree;
+///  * DenialMode::kNsec adds NSEC records at the zone's nodes;
 ///    DenialMode::kNsec3 fills the zone's NSEC3 chain (opt-out honoured:
 ///    insecure delegations are omitted when params.opt_out is set);
 ///  * DenialMode::kUnsigned returns keys that are simply unused.

@@ -1,12 +1,12 @@
-// Zone model: an apex plus a canonically-ordered tree of nodes, each node
-// holding the RRsets at one owner name. Empty non-terminals are materialised
-// so NSEC/NSEC3 chain construction and denial proofs see them (RFC 5155 §7.1).
+// Zone model: an apex plus the nodes below it, each node holding the RRsets
+// at one owner name. Empty non-terminals are materialised so NSEC/NSEC3
+// chain construction and denial proofs see them (RFC 5155 §7.1).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,23 +35,26 @@ enum class DenialMode {
   kNsec3,     // hashed denial (RFC 5155)
 };
 
-/// One owner name's RRsets.
+/// One owner name's RRsets: at most one per type, sorted by type.
 struct ZoneNode {
-  std::map<dns::RrType, dns::RrSet> rrsets;
+  std::vector<dns::RrSet> rrsets;
 
   bool empty() const noexcept { return rrsets.empty(); }  // empty non-terminal
-  const dns::RrSet* find(dns::RrType type) const {
-    const auto it = rrsets.find(type);
-    return it == rrsets.end() ? nullptr : &it->second;
+  const dns::RrSet* find(dns::RrType type) const noexcept {
+    for (const dns::RrSet& set : rrsets) {
+      if (set.type == type) return &set;
+      if (set.type > type) break;
+    }
+    return nullptr;
   }
-  bool has(dns::RrType type) const { return rrsets.count(type) > 0; }
+  bool has(dns::RrType type) const noexcept { return find(type) != nullptr; }
 };
 
 /// One link of a zone's NSEC3 chain.
 ///
-/// NSEC3 records live outside the ordinary name tree (their owner names are
-/// hash labels and must not participate in closest-encloser searches), so
-/// the chain is stored as a parallel structure sorted by hash value.
+/// NSEC3 records live outside the zone's nodes (their owner names are hash
+/// labels and must not participate in closest-encloser searches), so the
+/// chain is stored as a parallel structure sorted by hash value.
 struct Nsec3ChainEntry {
   std::vector<std::uint8_t> hash;  // hash of the original owner name
   dns::Name owner;                 // base32hex(hash).<apex>
@@ -67,8 +70,13 @@ struct Nsec3ChainEntry {
 
 /// A DNS zone under construction or service.
 ///
-/// Mutating methods are used by builders/signers; servers hold the zone via
-/// shared_ptr<const Zone> and use the const query surface.
+/// The nodes live in one vector, found by name through an open-addressed
+/// index keyed by Name::hash(), so lookups work at any time. Ordered reads
+/// (for_each_node, to_text, nsec_covering) walk the vector in RFC 4034 §6.1
+/// canonical order, which freeze() establishes; an ordered read of an
+/// unfrozen zone throws std::logic_error. Builders and the signer mutate the
+/// zone; servers hold it frozen through shared_ptr<const Zone>. No const
+/// method changes any state, so a frozen zone may be read from many threads.
 class Zone {
  public:
   explicit Zone(dns::Name apex) : apex_(std::move(apex)) {}
@@ -77,7 +85,16 @@ class Zone {
 
   /// Adds a record; creates intermediate empty non-terminals up to the apex.
   /// Returns false (and ignores the record) if the owner is outside the zone.
+  /// A record at a name the zone already holds keeps it frozen; a new name
+  /// unfreezes it.
   bool add(dns::ResourceRecord rr);
+
+  /// Sorts the nodes into canonical order once, rebuilds the index and sizes
+  /// the storage to the node count. A no-op on a frozen zone.
+  void freeze();
+
+  /// True from freeze() until a record adds a new name.
+  bool frozen() const noexcept { return frozen_; }
 
   /// Node lookup; nullptr if the exact name does not exist (ENTs *do* exist).
   const ZoneNode* node(const dns::Name& name) const;
@@ -96,9 +113,6 @@ class Zone {
   /// non-apex ancestor), i.e. not authoritative data of this zone.
   std::optional<dns::Name> delegation_for(const dns::Name& name) const;
 
-  /// All owner names in canonical order (ENTs included).
-  std::vector<dns::Name> names_in_order() const;
-
   /// Total record count (for stats/dumps).
   std::size_t record_count() const;
 
@@ -108,14 +122,21 @@ class Zone {
   /// SOA at the apex; zones under service always have one.
   const dns::RrSet* soa() const { return find(apex_, dns::RrType::kSoa); }
 
-  /// Presentation-format dump (sorted), for logs and golden tests.
+  /// Presentation-format dump in canonical order, for logs and golden
+  /// tests. Ordered read.
   std::string to_text() const;
 
-  /// Iterates nodes in canonical order.
+  /// Iterates nodes in canonical order. Ordered read.
   template <typename Fn>
   void for_each_node(Fn&& fn) const {
-    for (const auto& [name, node] : nodes_) fn(name, node);
+    require_frozen("for_each_node");
+    for (const Entry& entry : entries_) fn(entry.name, entry.node);
   }
+
+  /// The node owning the nearest NSEC at or before `name` in canonical
+  /// order, wrapping from the first node to the last: the NSEC that matches
+  /// or covers `name`. nullptr if no node owns an NSEC. Ordered read.
+  const ZoneNode* nsec_covering(const dns::Name& name) const;
 
   // --- NSEC3 chain (populated by the signer for DenialMode::kNsec3) ---
 
@@ -139,8 +160,26 @@ class Zone {
       std::span<const std::uint8_t> hash) const;
 
  private:
+  struct Entry {
+    dns::Name name;
+    ZoneNode node;
+  };
+
+  /// Throws std::logic_error naming `operation` unless the zone is frozen.
+  void require_frozen(const char* operation) const;
+  /// Position of `name` in entries_, or entries_.size() if absent.
+  std::size_t position_of(const dns::Name& name) const noexcept;
+  /// Appends a node for `name` (which must be absent); returns its position.
+  std::size_t insert_node(dns::Name name);
+  void index_position(std::size_t position) noexcept;
+  void rebuild_index();
+
   dns::Name apex_;
-  std::map<dns::Name, ZoneNode, dns::NameCanonicalLess> nodes_;
+  std::vector<Entry> entries_;  // canonical order while frozen_
+  // Linear-probing slots over entries_: position + 1, or 0 when empty. The
+  // size is a power of two, at least twice the node count.
+  std::vector<std::uint32_t> index_;
+  bool frozen_ = false;
   std::vector<Nsec3ChainEntry> nsec3_chain_;  // sorted by hash
   std::optional<Nsec3Params> nsec3_params_;
 };

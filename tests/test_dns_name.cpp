@@ -149,7 +149,9 @@ TEST(Name, CanonicalCompareRfc4034Order) {
 
   auto shuffled = names;
   std::reverse(shuffled.begin(), shuffled.end());
-  std::sort(shuffled.begin(), shuffled.end(), NameCanonicalLess{});
+  std::sort(shuffled.begin(), shuffled.end(), [](const Name& a, const Name& b) {
+    return Name::canonical_compare(a, b) < 0;
+  });
   for (std::size_t i = 0; i < names.size(); ++i)
     EXPECT_TRUE(shuffled[i].equals(names[i]))
         << i << ": " << shuffled[i].to_string();

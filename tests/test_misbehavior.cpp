@@ -3,6 +3,7 @@
 // response spoofing the resolver must reject (RFC 5452 hygiene).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "scanner/domain_scanner.hpp"
@@ -43,11 +44,14 @@ TEST(ScannerMisbehavior, MismatchedNsec3ParamExcluded) {
   // NSEC3 records actually use (an RFC 5155 §4 violation).
   auto* apex_node = world.zone->mutable_node(world.zone->apex());
   ASSERT_NE(apex_node, nullptr);
-  auto& param_set = apex_node->rrsets.at(RrType::kNsec3Param);
+  const auto param_set = std::find_if(
+      apex_node->rrsets.begin(), apex_node->rrsets.end(),
+      [](const dns::RrSet& set) { return set.type == RrType::kNsec3Param; });
+  ASSERT_NE(param_set, apex_node->rrsets.end());
   dns::Nsec3ParamRdata forged;
   forged.iterations = 99;
   forged.salt = {0x42};
-  param_set.rdatas[0] = forged.encode();
+  param_set->rdatas[0] = forged.encode();
 
   scanner::DomainScanner scanner(world.internet.network(),
                                  IpAddress::v4(203, 0, 113, 10),
